@@ -2,7 +2,8 @@
 //
 // Query side: merge-based summary refresh vs. the old global-sort refresh,
 // incremental (tritmap-diff) refresh vs. full re-copy, binary-search
-// quantiles vs. the old linear scan.  These quantify the constants behind
+// quantiles vs. the old linear scan, and the summary-free answers a new
+// snapshot's first query takes (selection / per-level search over the runs).  These quantify the constants behind
 // fig06b/fig06c.
 //
 // Ingest side: the owner's Gather&Sort cost — multiway merge of pre-sorted
@@ -126,10 +127,28 @@ int main() {
     if (rv >= 1.0) rv = 0.001;
     keep(q.rank(rv));
   });
+  // The first query on a new snapshot answers from the sorted runs instead.
+  const auto snapshot = q.runs();
+  core::RunSelector<double> selector;
+  phi = 0.0;
+  const double quantile_select = time_per_op(100'000, [&] {
+    phi += 0.001;
+    if (phi >= 1.0) phi = 0.001;
+    keep(selector.quantile(snapshot, phi));
+  });
+  rv = 0.0;
+  const double rank_runs = time_per_op(1'000'000, [&] {
+    rv += 0.001;
+    if (rv >= 1.0) rv = 0.001;
+    keep(core::runs_rank(snapshot, rv));
+  });
+  const std::string runs_note = "L=" + Table::integer(snapshot.size()) + " runs";
   t.add_row({"quantile: binary search", nanos(quantile_bsearch), "O(log R)"});
+  t.add_row({"quantile: selection", nanos(quantile_select), runs_note + ", no summary"});
   t.add_row({"quantile: linear scan (old)", nanos(quantile_linear),
              Table::num(quantile_linear / quantile_bsearch, 1) + "x slower"});
   t.add_row({"rank: binary search", nanos(rank_bsearch), "O(log R)"});
+  t.add_row({"rank: per-level search", nanos(rank_runs), runs_note + ", no summary"});
 
   // ----- merge primitive on synthetic runs ---------------------------------
   {

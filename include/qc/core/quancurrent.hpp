@@ -75,15 +75,18 @@
 //
 // Query engine.  Every published level slot is a sorted k-run (the KLL
 // compactor invariant), so a snapshot is a set of sorted runs, not a bag of
-// items.  Querier::refresh copies the referenced runs plus the tail and
-// multiway-merges them (core/run_merge.hpp, tournament tree, O(R log L))
-// into a structure-of-arrays prefix-weight summary; quantile/rank/cdf are
-// then O(log R) binary searches over the frozen summary.  refresh() is also
-// incremental: each level carries an install epoch (a counter unique to the
-// last batch cascade that wrote it), and a refresh re-copies only levels whose
-// epoch or trit changed since the querier's previous validated snapshot,
-// reusing every unchanged run.  A refresh that finds both the install seq
-// and the tail version unchanged is O(1).
+// items.  Querier::refresh copies the referenced runs plus the sorted tail;
+// the first query on a new snapshot answers straight from those runs
+// (core/run_merge.hpp: per-run binary searches for rank, multi-run selection
+// for quantile), and a second query multiway-merges them (tournament tree,
+// O(R log L)) into a structure-of-arrays prefix-weight summary that later
+// queries binary-search in O(log R).  refresh() is also incremental: each
+// level carries an install epoch (a counter unique to the last batch cascade
+// that wrote it), and a refresh re-copies only levels whose epoch or trit
+// changed since the querier's previous validated snapshot, reusing every
+// unchanged run and, while the tail version holds, the sorted tail.  A
+// refresh that finds both the install seq and the tail version unchanged is
+// O(1).
 //
 // Relaxation.  Elements still in local buffers, partially filled gather
 // buffers, or batches parked in the install queue are invisible to queries —
@@ -115,8 +118,8 @@
 //     bounded retries (counted in stats().oom_dropped_items, warned on
 //     stderr).
 //   * Querier::refresh may propagate bad_alloc; the handle stays valid and
-//     the previous summary stays answerable (cache entries are updated
-//     per-level, each atomically-consistently).
+//     the previous snapshot stays answerable (a refresh copies into spare
+//     buffers and only flips to them once a snapshot is accepted).
 //   * A stalled reader cannot pin unbounded memory: when the retire list
 //     would exceed Options::ibr_retire_cap, the latch holder forces a scan
 //     and, if the scan cannot help, throttles ingest (ibr_stats().degraded,
@@ -737,55 +740,81 @@ class Quancurrent {
 
   // ----- queries -----------------------------------------------------------
 
-  // Point-in-time view of the sketch.  refresh() snapshots the tritmap,
-  // copies (or reuses) the referenced level runs plus the tail, and
-  // multiway-merges them into a prefix-weight summary; quantile/rank/cdf
-  // then answer from the frozen summary in O(log R) without touching shared
-  // state.
+  // Point-in-time view of the sketch.  refresh() snapshots the tritmap and
+  // copies (or reuses) the referenced level runs plus the sorted tail;
+  // quantile/rank/cdf/size then answer from those frozen sorted runs without
+  // touching shared state.  The first query on a new snapshot answers
+  // straight from the runs (rank: one binary search per run; quantile: a
+  // multi-run selection, core/run_merge.hpp), so a querier racing live
+  // ingest, which sees a new snapshot on nearly every refresh, never pays a
+  // full merge.  The second query on the same snapshot builds the merged
+  // prefix-weight summary, and every later one is an O(log R) binary search
+  // over it.  Both paths give identical answers (tested).  A handle is not
+  // thread-safe: one per thread.
   class Querier {
    public:
     explicit Querier(Quancurrent& sketch)
         : sketch_(&sketch), lease_(sketch), cache_(kLevels) {
+      runs_.reserve(2 * static_cast<std::size_t>(kLevels) + 1);
       refresh();
     }
 
     // Incremental refresh: reuses level runs cached by earlier refreshes
-    // when the level's install epoch and trit are unchanged; O(1) when
-    // nothing was published and the tail did not change.
+    // when the level's install epoch and trit are unchanged, and the sorted
+    // tail copy while the tail version is; O(1) when nothing was published
+    // and the tail did not change.
     void refresh() { refresh_impl(/*force_full=*/false); }
 
-    // Ignores the run cache and re-copies every referenced level; the
-    // summary is identical to refresh()'s (tested), just slower to build.
-    void refresh_full() { refresh_impl(/*force_full=*/true); }
+    // Ignores every cached copy, re-copies the whole snapshot and builds its
+    // summary eagerly — the cache-off baseline.  The summary is identical to
+    // the one refresh() leads to (tested), just slower to reach.
+    void refresh_full() {
+      refresh_impl(/*force_full=*/true);
+      build_summary();
+    }
 
     // Benchmarking/diagnostic knob: build summaries by flattening all runs
     // and globally sorting (the pre-merge-engine algorithm) instead of
-    // multiway-merging.  Answers are identical; only the refresh cost
-    // changes.
+    // multiway-merging.  Answers are identical; only the build cost changes.
     void set_sort_baseline(bool on) { sort_baseline_ = on; }
 
-    std::uint64_t size() const { return summary_.total_weight(); }
+    std::uint64_t size() const { return size_; }
     std::uint64_t holes() const { return holes_; }
 
-    // Bumps every time a refresh actually rebuilds the summary; an O(1)
-    // refresh (nothing published, no tail churn) leaves it unchanged.
+    // Bumps every time a refresh installs a new snapshot; an O(1) refresh
+    // (nothing published, no tail churn) leaves it unchanged.
     // Cross-sketch aggregators (ShardedQuancurrent::Querier) use it to skip
-    // re-merging shards whose summaries did not move.
+    // re-merging shards whose snapshots did not move.
     std::uint64_t version() const { return version_; }
 
-    // The frozen value-sorted summary the last refresh produced.
-    const WeightedSummary<T>& summary() const { return summary_; }
+    // Summaries built so far: lazily by queries and summary(), eagerly by
+    // refresh_full().
+    std::uint64_t summary_builds() const { return summary_builds_; }
 
-    T quantile(double phi) const { return summary_quantile(summary_, phi); }
+    // The current snapshot as sorted weighted runs: level slots ascending,
+    // then the tail.  The direct answers and the summary both read these.
+    std::span<const RunRef<T>> runs() const { return runs_; }
+
+    // The value-sorted summary of the current snapshot, built on first use.
+    const WeightedSummary<T>& summary() const {
+      if (!summary_ready_) build_summary();
+      return summary_;
+    }
+
+    T quantile(double phi) const {
+      return summary_ready_ || summary_due()
+                 ? summary_quantile(summary_, phi)
+                 : selector_.quantile(runs(), phi, sketch_->cmp_);
+    }
 
     std::uint64_t rank(const T& v) const {
-      return summary_rank(summary_, v, sketch_->cmp_);
+      return summary_ready_ || summary_due() ? summary_rank(summary_, v, sketch_->cmp_)
+                                             : runs_rank(runs(), v, sketch_->cmp_);
     }
 
     double cdf(const T& v) const {
-      const std::uint64_t total = summary_.total_weight();
-      return total == 0 ? 0.0
-                        : static_cast<double>(rank(v)) / static_cast<double>(total);
+      return size_ == 0 ? 0.0
+                        : static_cast<double>(rank(v)) / static_cast<double>(size_);
     }
 
    private:
@@ -798,7 +827,7 @@ class Quancurrent {
     // installs, and every batch cascade that writes a level stores a fresh
     // epoch (unique per batch, not per publish group, so two writes of the
     // same level within one combined group are distinguishable).
-    struct LevelCache {
+    struct RunCopy {
       std::uint64_t epoch = kNever;
       std::uint32_t trit = 0;    // trit the copy was made under
       std::uint32_t copied = 0;  // runs actually copied (< trit on a racing
@@ -806,9 +835,31 @@ class Quancurrent {
       std::vector<T> runs;       // copied sorted k-runs, slot-major
     };
 
+    // Sorted copy of the tail, tagged with the tail version it reflects.
+    struct TailCopy {
+      std::uint64_t version = kNever;
+      std::vector<T> items;
+    };
+
+    // Two copies of one snapshot part: `live`, which the current snapshot
+    // answers from, and a spare that refreshes copy into.  A refresh that
+    // throws or fails validation therefore never overwrites what the
+    // current answers read; accepting a snapshot flips `live` to `pick`.
+    template <typename Copy>
+    struct DoubleCopy {
+      std::array<Copy, 2> copy;
+      std::uint8_t live = 0;
+      std::uint8_t pick = 0;  // the copy the snapshot being collected uses
+    };
+    template <typename Copy>
+    static std::uint8_t spare(const DoubleCopy<Copy>& d) {
+      return static_cast<std::uint8_t>(d.live ^ 1);
+    }
+
     // May propagate bad_alloc (snapshot copy growth): the handle stays
-    // valid, the previous summary stays answerable, and the pin clears on
-    // unwind (RAII) so a failed refresh can never stall reclamation.
+    // valid, the previous snapshot stays answerable (refreshes only write
+    // spare copies), and the pin clears on unwind (RAII) so a failed refresh
+    // can never stall reclamation.
     void refresh_impl(bool force_full) {
       auto& s = *sketch_;
       // Pin the reclamation epoch across every snapshot attempt: the
@@ -838,7 +889,7 @@ class Quancurrent {
         if (!force_full && !unstable && seq == snap_seq_ &&
             s.tail_version_.load(std::memory_order_acquire) == snap_tail_ver_) {
           // Nothing published and no tail churn since the last validated
-          // snapshot: the summary is already current.
+          // snapshot: the current snapshot is still valid.
           return;
         }
         const bool last_attempt = attempt + 1 == kSnapshotRetries;
@@ -856,7 +907,7 @@ class Quancurrent {
         // tax every snapshot attempt.
         assert(tm.trit(0) == 0);  // published tritmaps always have level 0 drained
         collect_levels(tm, force_full);
-        const std::uint64_t tail_ver = copy_tail();
+        const std::uint64_t tail_ver = copy_tail(force_full);
         // The copy loads above are acquire, so this re-check load cannot be
         // reordered before them, and a copy that observed a dangerous write
         // synchronizes with the installer's odd flip (see collect_levels) —
@@ -865,21 +916,33 @@ class Quancurrent {
         if (!unstable && check == seq) {
           snap_seq_ = seq;
           snap_tail_ver_ = tail_ver;
-          build(tm, /*runs_may_be_torn=*/false);
+          install_snapshot(tm);
           return;
         }
         if (last_attempt) {
           // Accept the snapshot; each racing install group may have recycled
           // arrays under our copy.  Count the groups as holes, as the paper
-          // does.  Torn copies may not be sorted, so build via the
-          // global-sort fallback, and poison the cache so the next refresh
-          // re-copies.
+          // does.  Sort every run this refresh copied, since a torn copy may
+          // not be sorted and both the direct answers and the merge need
+          // sorted runs, and poison the cache so the next refresh re-copies.
           holes_ = std::max<std::uint64_t>(1, (check - seq) / 2);
           if (s.opts_.collect_stats) {
             s.stat_holes_.fetch_add(holes_, std::memory_order_relaxed);
           }
-          build(tm, /*runs_may_be_torn=*/true);
-          for (auto& c : cache_) c.epoch = kNever;
+          const std::size_t k = s.opts_.k;
+          for (std::uint32_t level = 1; level < tm.num_levels(); ++level) {
+            auto& c = cache_[level];
+            if (c.pick == c.live) continue;  // validated by an earlier refresh
+            std::vector<T>& r = c.copy[c.pick].runs;
+            for (std::size_t off = 0; off < r.size(); off += k) {
+              std::sort(r.begin() + static_cast<std::ptrdiff_t>(off),
+                        r.begin() + static_cast<std::ptrdiff_t>(off + k), s.cmp_);
+            }
+          }
+          install_snapshot(tm);
+          for (auto& c : cache_) {
+            for (auto& r : c.copy) r.epoch = kNever;
+          }
           snap_seq_ = kNever;
           snap_tail_ver_ = kNever;
           return;
@@ -890,33 +953,34 @@ class Quancurrent {
       }
     }
 
-    // Copies the occupied slots of every level the tritmap references,
-    // skipping levels whose cached copy is still current.  The epoch is
-    // loaded (acquire) before the pointer loads: a batch cascade publishes a
-    // level's epoch with a release store *after* publishing its block, so a
-    // cache entry tagged with epoch E always reflects the epoch-E
-    // publication whenever E is still the level's published epoch.  (A later
-    // cascade republishing the level while we copy leaves our entry tagged
-    // with the OLD epoch and stores a new one, so the entry is re-copied.)
+    // Picks, for every level the tritmap references, a copy of its occupied
+    // slots: the live copy or the spare when either is still current, else
+    // a fresh copy into the spare.  The epoch is loaded (acquire) before the
+    // pointer loads: a batch cascade publishes a level's epoch with a release
+    // store *after* publishing its block, so a copy tagged with epoch E
+    // always reflects the epoch-E publication whenever E is still the
+    // level's published epoch.  (A later cascade republishing the level
+    // while we copy leaves our copy tagged with the OLD epoch and stores a
+    // new one, so the level is re-copied.)
     void collect_levels(Tritmap tm, bool force_full) {
       auto& s = *sketch_;
       const std::uint32_t k = s.opts_.k;
-      top_level_ = tm.num_levels();
-      for (std::uint32_t level = 1; level < top_level_; ++level) {
-        LevelCache& c = cache_[level];
+      for (std::uint32_t level = 1; level < tm.num_levels(); ++level) {
+        auto& c = cache_[level];
         const std::uint64_t epoch =
             s.level_epoch_[level].load(std::memory_order_acquire);
         const std::uint32_t trit = tm.trit(level);
-        if (!force_full && c.epoch == epoch && c.trit == trit &&
-            c.copied == trit) {
-          continue;
-        }
-        // A bad_alloc on this growth leaves the entry's previous (epoch,
-        // runs) pair intact — resize has the strong guarantee and the tags
-        // are only updated after the copy below — so the cache stays
-        // internally consistent and refresh can simply be retried.
+        const auto current = [&](const RunCopy& r) {
+          return !force_full && r.epoch == epoch && r.trit == trit && r.copied == trit;
+        };
+        c.pick = current(c.copy[c.live]) ? c.live : spare(c);
+        RunCopy& dst = c.copy[c.pick];
+        if (current(dst)) continue;
+        // A bad_alloc on this growth leaves the spare untagged and every
+        // live copy untouched, so refresh can simply be retried.
+        dst.epoch = kNever;
         QC_INJECT_OOM(querier_copy_alloc);
-        c.runs.resize(static_cast<std::size_t>(trit) * k);
+        dst.runs.resize(static_cast<std::size_t>(trit) * k);
         std::uint32_t copied = 0;
         for (std::uint32_t slot = 0; slot < trit; ++slot) {
           // seq_cst pointer load: in the single total order it follows this
@@ -932,70 +996,122 @@ class Quancurrent {
               s.slot_block(level, slot).load(std::memory_order_seq_cst);
           if (blk == nullptr) break;  // racing unpublish: this snapshot
                                       // cannot validate, stop copying
-          std::memcpy(c.runs.data() + static_cast<std::size_t>(slot) * k,
+          std::memcpy(dst.runs.data() + static_cast<std::size_t>(slot) * k,
                       blk->items.data(), k * sizeof(T));
           ++copied;
         }
-        c.runs.resize(static_cast<std::size_t>(copied) * k);
-        c.epoch = epoch;
-        c.trit = trit;
-        c.copied = copied;
+        dst.runs.resize(static_cast<std::size_t>(copied) * k);
+        dst.epoch = epoch;
+        dst.trit = trit;
+        dst.copied = copied;
       }
     }
 
-    // Bulk-copies the tail into a reused buffer under tail_mu_ (memcpy, not
-    // per-element appends); returns the tail version the copy reflects.
-    std::uint64_t copy_tail() {
+    // Picks a sorted copy of the tail and returns the tail version it
+    // reflects: a copy whose version is still current is reused, else the
+    // tail is bulk-copied into the spare (memcpy, not per-element appends)
+    // and sorted after unlocking.  The version is read under tail_mu_ even
+    // when nothing is copied: quiesce installs tail batches and erases them
+    // from the tail inside one tail_mu_ section, so a version read outside
+    // it could pair the pre-erase tail with levels that already hold those
+    // batches.
+    std::uint64_t copy_tail(bool force_full) {
       auto& s = *sketch_;
-      const sync::MutexLock lock(s.tail_mu_);
-      const std::size_t n = s.tail_.size();
-      QC_INJECT_OOM(querier_copy_alloc);
-      tail_buf_.resize(n);
-      if (n != 0) std::memcpy(tail_buf_.data(), s.tail_.data(), n * sizeof(T));
-      return s.tail_version_.load(std::memory_order_relaxed);
+      std::uint64_t ver = 0;
+      TailCopy* dst = nullptr;
+      {
+        const sync::MutexLock lock(s.tail_mu_);
+        ver = s.tail_version_.load(std::memory_order_relaxed);
+        for (const std::uint8_t i : {sorted_tail_.live, spare(sorted_tail_)}) {
+          if (!force_full && sorted_tail_.copy[i].version == ver) {
+            sorted_tail_.pick = i;
+            return ver;
+          }
+        }
+        sorted_tail_.pick = spare(sorted_tail_);
+        dst = &sorted_tail_.copy[sorted_tail_.pick];
+        dst->version = kNever;
+        const std::size_t n = s.tail_.size();
+        QC_INJECT_OOM(querier_copy_alloc);
+        dst->items.resize(n);
+        if (n != 0) std::memcpy(dst->items.data(), s.tail_.data(), n * sizeof(T));
+      }
+      std::sort(dst->items.begin(), dst->items.end(), s.cmp_);
+      dst->version = ver;
+      return ver;
     }
 
-    // Assembles the run list (level slots ascending, then the tail) and
-    // merges it into the summary.  The run order is deterministic, and the
-    // merge breaks ties by run index, so incremental and full refreshes of
-    // the same snapshot produce identical summaries.
-    void build(Tritmap tm, bool runs_may_be_torn) {
-      auto& s = *sketch_;
-      const std::uint32_t k = s.opts_.k;
-      std::sort(tail_buf_.begin(), tail_buf_.end(), s.cmp_);
+    // Makes the collected snapshot current: flips every part to the copy it
+    // picked and lays out the run list (level slots ascending, then the
+    // tail) that the answers and the summary read.  The run order is
+    // deterministic, and the merge breaks ties by run index, so incremental
+    // and full refreshes of the same snapshot produce identical summaries.
+    // No-throw: runs_ was reserved for the deepest ladder.
+    void install_snapshot(Tritmap tm) {
+      const std::uint32_t k = sketch_->opts_.k;
       runs_.clear();
-      for (std::uint32_t level = 1; level < top_level_; ++level) {
-        const LevelCache& c = cache_[level];
-        const std::uint32_t trit = std::min(c.copied, tm.trit(level));
+      for (std::uint32_t level = 1; level < tm.num_levels(); ++level) {
+        auto& c = cache_[level];
+        c.live = c.pick;
+        const RunCopy& r = c.copy[c.live];
+        const std::uint32_t trit = std::min(r.copied, tm.trit(level));
         for (std::uint32_t slot = 0; slot < trit; ++slot) {
-          runs_.push_back({c.runs.data() + static_cast<std::size_t>(slot) * k, k,
+          runs_.push_back({r.runs.data() + static_cast<std::size_t>(slot) * k, k,
                            1ULL << level});
         }
       }
-      if (!tail_buf_.empty()) runs_.push_back({tail_buf_.data(), tail_buf_.size(), 1});
-      const auto span = std::span<const RunRef<T>>(runs_);
-      if (runs_may_be_torn || sort_baseline_) {
-        sort_merge_runs(span, summary_, sort_scratch_, s.cmp_);
-      } else {
-        merger_.merge(span, summary_, s.cmp_);
-      }
+      sorted_tail_.live = sorted_tail_.pick;
+      const std::vector<T>& tail = sorted_tail_.copy[sorted_tail_.live].items;
+      if (!tail.empty()) runs_.push_back({tail.data(), tail.size(), 1});
+      size_ = runs_total_weight(runs());
+      summary_ready_ = false;
+      queries_ = 0;
       ++version_;
+    }
+
+    // Called while the summary is not built.  The first query on a snapshot
+    // answers from the runs (false); the second builds the summary for
+    // itself and every later one.  A build that cannot allocate leaves that
+    // query answering from the runs too.
+    bool summary_due() const {
+      if (queries_++ == 0) return false;
+      try {
+        build_summary();
+      } catch (const std::bad_alloc&) {
+        return false;
+      }
+      return true;
+    }
+
+    void build_summary() const {
+      if (sort_baseline_) {
+        sort_merge_runs(runs(), summary_, sort_scratch_, sketch_->cmp_);
+      } else {
+        merger_.merge(runs(), summary_, sketch_->cmp_);
+      }
+      summary_ready_ = true;
+      ++summary_builds_;
     }
 
     Quancurrent* sketch_;
     IbrSlotLease lease_;  // this handle's epoch announcement slot
-    std::vector<LevelCache> cache_;
-    std::uint32_t top_level_ = 0;
-    std::vector<T> tail_buf_;
-    std::vector<RunRef<T>> runs_;
-    RunMerger<T, Compare> merger_;
-    std::vector<std::pair<T, std::uint64_t>> sort_scratch_;
-    WeightedSummary<T> summary_;
+    std::vector<DoubleCopy<RunCopy>> cache_;
+    DoubleCopy<TailCopy> sorted_tail_;
+    std::vector<RunRef<T>> runs_;  // the current snapshot
+    std::uint64_t size_ = 0;
     std::uint64_t snap_seq_ = kNever;
     std::uint64_t snap_tail_ver_ = kNever;
     std::uint64_t holes_ = 0;
     std::uint64_t version_ = 0;
     bool sort_baseline_ = false;
+    // Query-side state: the selection scratch and the lazily built summary.
+    mutable RunSelector<T, Compare> selector_;
+    mutable RunMerger<T, Compare> merger_;
+    mutable std::vector<std::pair<T, std::uint64_t>> sort_scratch_;
+    mutable WeightedSummary<T> summary_;
+    mutable bool summary_ready_ = false;
+    mutable std::uint64_t queries_ = 0;  // on the current snapshot
+    mutable std::uint64_t summary_builds_ = 0;
   };
 
   Querier make_querier() { return Querier(*this); }

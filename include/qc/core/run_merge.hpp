@@ -12,6 +12,12 @@
 //   rank(v)/cdf(v) into a binary search over items,
 // O(log R) per call instead of the previous O(R) linear scans.
 //
+// The summary is only worth building for a snapshot that is queried more
+// than once.  runs_rank and RunSelector answer the same questions straight
+// from the sorted runs — rank as one binary search per run, quantile as a
+// multi-run selection — for a few microseconds instead of the O(R log L)
+// merge; Querier uses them for the first query on each new snapshot.
+//
 // Ties between runs break by run index, so for a fixed run order the merge
 // output is fully deterministic — which is what lets an incremental refresh
 // (cached runs) and a full refresh (fresh copies) produce bit-identical
@@ -98,6 +104,173 @@ std::uint64_t summary_rank(const WeightedSummary<T>& summary, const T& v,
       std::lower_bound(items.begin(), items.end(), v, cmp) - items.begin());
   return idx == 0 ? 0 : summary.prefix_weights()[idx - 1];
 }
+
+// ----- answers straight from the sorted runs ---------------------------------
+//
+// The functions below answer from a set of sorted weighted runs without
+// merging them.  Each one returns exactly what the summary_* function does on
+// RunMerger::merge of the same runs, bit for bit, tie order included.
+
+// Total weight of the runs (the merged summary's total_weight()).
+template <typename T>
+std::uint64_t runs_total_weight(std::span<const RunRef<T>> runs) {
+  std::uint64_t total = 0;
+  for (const auto& r : runs) total += r.weight * r.size;
+  return total;
+}
+
+// std::partition_point over [first, last) without branches: the halving
+// step compiles to a conditional move, so a search costs ~log2(n) dependent
+// loads and no mispredicted branches — the per-run searches below run on
+// every query.
+template <typename T, typename Pred>
+const T* partition_point_branchless(const T* first, const T* last, Pred pred) {
+  std::size_t n = static_cast<std::size_t>(last - first);
+  if (n == 0) return first;
+  while (n > 1) {
+    const std::size_t half = n / 2;
+    first = pred(first[half]) ? first + half : first;
+    n -= half;
+  }
+  return first + (pred(*first) ? 1 : 0);
+}
+
+// Total weight of items strictly less than `v`: the KLL weighted-compactor
+// rank (Karnin, Lang & Liberty), one binary search per run.
+template <typename T, typename Compare = std::less<T>>
+std::uint64_t runs_rank(std::span<const RunRef<T>> runs, const T& v,
+                        Compare cmp = Compare()) {
+  std::uint64_t rank = 0;
+  for (const auto& r : runs) {
+    const T* end = partition_point_branchless(
+        r.data, r.data + r.size, [&](const T& x) { return cmp(x, v); });
+    rank += r.weight * static_cast<std::uint64_t>(end - r.data);
+  }
+  return rank;
+}
+
+// summary_quantile by multi-run selection.  The answer is the smallest value
+// v whose weight of items <= v reaches phi * total (the same double
+// comparison summary_quantile makes).  Each run keeps a window [lo, hi) of
+// candidates; everything below a window is known to be short of the target,
+// everything above it is >= the best answer found so far.  A round picks
+// one position per window, takes the window-size-weighted median of the
+// items there as the pivot, weighs the items <= pivot with one upper_bound
+// per window, and then drops every candidate <= pivot (short) or >= pivot
+// (reaches; pivot is the new best).
+//
+// The positions sit at the fraction of the windows' weight the target still
+// needs, which on runs sampled from one stream lands the pivot next to the
+// answer (about half the rounds of midpoints).  A round that removes less
+// than a quarter of the candidates makes the next one use the midpoints:
+// then at least half the candidates of runs holding half of them go, so the
+// selection keeps O(log R) rounds of one binary search per run each.  Holds
+// its scratch across calls, so it stops allocating once the run count stops
+// growing.
+template <typename T, typename Compare = std::less<T>>
+class RunSelector {
+ public:
+  T quantile(std::span<const RunRef<T>> runs, double phi, Compare cmp = Compare()) {
+    const std::size_t n = runs.size();
+    std::size_t items = 0;
+    for (const auto& r : runs) items += r.size;
+    if (items == 0) return T{};
+    const double target =
+        std::clamp(phi, 0.0, 1.0) * static_cast<double>(runs_total_weight(runs));
+    const auto reaches = [target](std::uint64_t c) {
+      return !(static_cast<double>(c) < target);
+    };
+    lo_.assign(n, 0);
+    hi_.resize(n);
+    cut_.resize(n);
+    for (std::size_t r = 0; r < n; ++r) hi_[r] = runs[r].size;
+    const T* best = nullptr;
+    std::size_t prev_left = 2 * items;
+    for (;;) {
+      std::size_t left = 0;
+      std::uint64_t short_weight = 0;
+      std::uint64_t window_weight = 0;
+      for (std::size_t r = 0; r < n; ++r) {
+        left += hi_[r] - lo_[r];
+        short_weight += runs[r].weight * lo_[r];
+        window_weight += runs[r].weight * (hi_[r] - lo_[r]);
+      }
+      if (left == 0) break;
+      double f = 0.5;
+      if (4 * left <= 3 * prev_left) {
+        const double need = (target - static_cast<double>(short_weight)) /
+                            static_cast<double>(window_weight);
+        f = need >= 0.0 ? std::min(need, 1.0) : 0.0;  // NaN target: 0
+      }
+      prev_left = left;
+      picks_.clear();
+      for (std::size_t r = 0; r < n; ++r) {
+        const std::size_t len = hi_[r] - lo_[r];
+        if (len == 0) continue;
+        const auto at = std::min(len - 1, static_cast<std::size_t>(f * static_cast<double>(len)));
+        picks_.push_back({runs[r].data + lo_[r] + at, len});
+      }
+      std::sort(picks_.begin(), picks_.end(),
+                [&](const Pick& a, const Pick& b) { return cmp(*a.item, *b.item); });
+      std::size_t seen = 0;
+      const T* pivot = nullptr;
+      for (const Pick& p : picks_) {
+        seen += p.window;
+        if (2 * seen >= left) {
+          pivot = p.item;
+          break;
+        }
+      }
+      const auto not_above = [&](const T& x) { return !cmp(*pivot, x); };
+      std::uint64_t at_most = 0;  // weight of items <= *pivot
+      for (std::size_t r = 0; r < n; ++r) {
+        const T* d = runs[r].data;
+        cut_[r] = static_cast<std::size_t>(
+            partition_point_branchless(d + lo_[r], d + hi_[r], not_above) - d);
+        at_most += runs[r].weight * cut_[r];
+      }
+      if (reaches(at_most)) {
+        best = pivot;
+        for (std::size_t r = 0; r < n; ++r) {
+          // Items equal to the pivot end at cut_[r]; only search for where
+          // they start if there is one.
+          const T* d = runs[r].data;
+          const std::size_t c = cut_[r];
+          const auto below = [&](const T& x) { return cmp(x, *pivot); };
+          hi_[r] = c > lo_[r] && !below(d[c - 1])
+                       ? static_cast<std::size_t>(
+                             partition_point_branchless(d + lo_[r], d + c, below) - d)
+                       : c;
+        }
+        best_lb_ = hi_;  // per run, the first item not less than *best
+      } else {
+        lo_.swap(cut_);
+      }
+    }
+    // The last item reaches the target (the total weight), so some pivot did.
+    QC_CHECK(best != nullptr, "RunSelector found no item reaching the target");
+    // The merge orders items equal to *best by run index, then position;
+    // walk that order to the item whose prefix weight first reaches.
+    std::uint64_t below = 0;
+    for (std::size_t r = 0; r < n; ++r) below += runs[r].weight * best_lb_[r];
+    for (std::size_t r = 0; r < n; ++r) {
+      const T* end = runs[r].data + runs[r].size;
+      for (const T* it = runs[r].data + best_lb_[r]; it != end && !cmp(*best, *it); ++it) {
+        below += runs[r].weight;
+        if (reaches(below)) return *it;
+      }
+    }
+    return *best;
+  }
+
+ private:
+  struct Pick {
+    const T* item;       // the window's candidate pivot
+    std::size_t window;  // the window's size, its weight in the median
+  };
+  std::vector<Pick> picks_;
+  std::vector<std::size_t> lo_, hi_, cut_, best_lb_;
+};
 
 // Reusable L-way merge.  Holds its cursor and tree storage across calls so a
 // refresh loop does not allocate once the vectors reach steady-state size.
@@ -494,9 +667,8 @@ class ChunkMerger {
 };
 
 // The pre-merge-engine summary construction — flatten every run into (item,
-// weight) pairs and globally sort.  Kept as (a) the fallback for snapshots
-// accepted with holes, whose runs may contain torn items and so may not be
-// sorted, and (b) the baseline micro_primitives benches against.
+// weight) pairs and globally sort.  Kept only as the baseline
+// micro_primitives benches against (Querier::set_sort_baseline).
 template <typename T, typename Compare = std::less<T>>
 void sort_merge_runs(std::span<const RunRef<T>> runs, WeightedSummary<T>& out,
                      std::vector<std::pair<T, std::uint64_t>>& scratch,

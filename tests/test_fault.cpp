@@ -8,6 +8,8 @@
 //     publication, and never violates the live_blocks() ledger;
 //   * deserialize and merge_into are exception-safe at EVERY allocation site
 //     (the fail-Nth loop: arm n = 1, 2, ... until a run completes clean);
+//   * a querier whose refresh fails keeps answering from its previous
+//     snapshot, unchanged;
 //   * a stalled querier keeps retired memory under Options::ibr_retire_cap
 //     with the episode reported through ibr_stats().degraded;
 //   * a wedged latch holder and a full install ring are observable through
@@ -362,6 +364,45 @@ QC_TEST(push_tail_failure_leaves_quiesce_retryable) {
   CHECK(threw);
   sk.quiesce();
   CHECK_EQ(sk.size(), std::uint64_t{10});
+}
+
+QC_TEST(failed_query_refresh_keeps_the_previous_snapshot) {
+  InjectorScope scope;
+  auto& inj = Injector::instance();
+  qc::Quancurrent<double> sk(small_options(64, 8));
+  for (int i = 0; i < 5'000; ++i) sk.update(static_cast<double>(i % 977));
+  sk.quiesce();
+  auto q = sk.make_querier();
+  const auto copy_runs = [&q] {
+    std::vector<std::vector<double>> out;
+    for (const auto& r : q.runs()) out.emplace_back(r.data, r.data + r.size);
+    return out;
+  };
+  const auto before = copy_runs();
+  const std::uint64_t size = q.size();
+  const double median = q.quantile(0.5);
+  // New items change several levels and the tail, so the next refresh
+  // re-copies several parts of the snapshot.
+  for (int i = 0; i < 3'000; ++i) sk.update(1e6 + i);
+  sk.quiesce();
+  // Fail the refresh's 1st, 2nd, ... copy allocation until one completes:
+  // each failure must leave the previous snapshot unchanged and answerable.
+  std::uint32_t failures = 0;
+  for (std::uint64_t n = 1;; ++n) {
+    inj.arm_hit(Point::querier_copy_alloc, inj.counters(Point::querier_copy_alloc).hits + n);
+    try {
+      q.refresh();
+    } catch (const std::bad_alloc&) {
+      ++failures;
+      CHECK(copy_runs() == before);
+      CHECK_EQ(q.size(), size);
+      CHECK(q.quantile(0.5) == median);
+      continue;
+    }
+    break;
+  }
+  CHECK(failures >= 2u);
+  CHECK_EQ(q.size(), std::uint64_t{8'000});
 }
 
 // ----- degradation under stalled readers ------------------------------------

@@ -3,10 +3,15 @@
 // ISSUE's three acceptance properties: (a) every refresh yields a
 // value-sorted summary, (b) quantile/rank match the exact oracle within the
 // error bound after quiesce, and (c) incremental and full refresh produce
-// identical summaries.
+// identical summaries.  Also the summary-free answers a snapshot's first
+// query takes (RunSelector, runs_rank): bit-identical to the merged
+// summary's, with ties, at the edges, and under live ingest.
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
+#include <limits>
+#include <memory>
 #include <span>
 #include <thread>
 #include <vector>
@@ -36,6 +41,60 @@ qc::core::Options small_options(std::uint32_t k, std::uint32_t b) {
 bool summary_is_sorted(const qc::core::WeightedSummary<double>& s) {
   const auto items = s.items();
   return std::is_sorted(items.begin(), items.end());
+}
+
+// Bit-level equality, so -0.0 and 0.0 count as different answers.
+bool same_bits(double a, double b) {
+  return a == b && std::signbit(a) == std::signbit(b);
+}
+
+// phi grid with both ends, plus out-of-range and NaN phis (clamped or not
+// the same way by both paths).
+std::vector<double> phi_grid() {
+  std::vector<double> phis{-0.5, 1.5, std::numeric_limits<double>::quiet_NaN()};
+  for (int i = 0; i <= 40; ++i) phis.push_back(static_cast<double>(i) / 40.0);
+  return phis;
+}
+
+// Probes below the minimum, above the maximum, every stored item, and the
+// midpoints between neighbouring stored items.
+std::vector<double> probes_for(const qc::core::WeightedSummary<double>& s) {
+  const auto items = s.items();
+  std::vector<double> probes{-1e300, 1e300};
+  for (std::size_t i = 0; i < items.size(); i += 1 + items.size() / 64) {
+    probes.push_back(items[i]);
+    if (i + 1 < items.size()) probes.push_back((items[i] + items[i + 1]) / 2);
+  }
+  if (!items.empty()) probes.push_back(items.back());
+  return probes;
+}
+
+// Checks RunSelector / runs_rank / runs_total_weight against the merged
+// summary of the same runs.
+void check_runs_match_merge(std::span<const qc::core::RunRef<double>> runs) {
+  qc::core::RunMerger<double> merger;
+  qc::core::WeightedSummary<double> merged;
+  merger.merge(runs, merged);
+  qc::core::RunSelector<double> selector;
+  CHECK_EQ(qc::core::runs_total_weight(runs), merged.total_weight());
+  for (const double phi : phi_grid()) {
+    CHECK(same_bits(selector.quantile(runs, phi), qc::core::summary_quantile(merged, phi)));
+  }
+  for (const double probe : probes_for(merged)) {
+    CHECK_EQ(qc::core::runs_rank(runs, probe), qc::core::summary_rank(merged, probe));
+  }
+}
+
+// Sketch whose quiesced snapshot holds `data`.
+std::unique_ptr<qc::core::Quancurrent<double>> quiesced(const std::vector<double>& data,
+                                                        std::uint32_t k) {
+  auto sk = std::make_unique<qc::core::Quancurrent<double>>(small_options(k, 8));
+  {
+    auto updater = sk->make_updater(0);
+    for (const double v : data) updater.update(v);
+  }
+  sk->quiesce();
+  return sk;
 }
 
 }  // namespace
@@ -126,6 +185,171 @@ QC_TEST(summary_binary_searches_match_linear_scans) {
   CHECK_NEAR(qc::core::summary_quantile(s, 0.0), s.items()[0], 0.0);
   CHECK_EQ(qc::core::summary_rank(s, -1.0), 0u);
   CHECK_EQ(qc::core::summary_rank(s, v + 1.0), s.total_weight());
+}
+
+QC_TEST(direct_run_answers_match_the_merged_summary) {
+  qc::Xoshiro256 rng(47);
+  std::vector<qc::core::RunRef<double>> runs;
+  check_runs_match_merge(runs);  // no runs at all
+  for (const std::uint64_t domain : {std::uint64_t{0}, std::uint64_t{16}, std::uint64_t{2}}) {
+    for (const std::size_t num_runs : {std::size_t{1}, std::size_t{2}, std::size_t{5},
+                                       std::size_t{9}, std::size_t{17}}) {
+      // domain 0: uniform doubles; otherwise integer-valued doubles in
+      // [0, domain), so every value is tied within and across runs.
+      std::vector<std::vector<double>> data(num_runs);
+      runs.clear();
+      for (std::size_t r = 0; r < num_runs; ++r) {
+        data[r].resize(r == 1 ? 0 : 1 + rng() % 300);
+        for (auto& v : data[r]) {
+          v = domain == 0 ? rng.next_double() : static_cast<double>(rng() % domain);
+        }
+        std::sort(data[r].begin(), data[r].end());
+        runs.push_back({data[r].data(), data[r].size(), 1ULL << (r % 6)});
+      }
+      check_runs_match_merge(runs);
+    }
+  }
+  // Equal but distinguishable items: the merge orders -0.0 and 0.0 by run
+  // index, then position, and the direct quantile must pick the same one.
+  const std::vector<double> a{-1.0, 0.0, -0.0, 0.0};
+  const std::vector<double> b{-0.0, -0.0, 0.0, 2.0};
+  const std::vector<double> c{0.0};
+  runs = {{a.data(), a.size(), 2}, {b.data(), b.size(), 1}, {c.data(), c.size(), 4}};
+  check_runs_match_merge(runs);
+}
+
+QC_TEST(querier_direct_answers_match_its_summary) {
+  // Each question goes to a fresh querier, whose first query on its
+  // snapshot answers from the runs; the lazily built summary of the same
+  // snapshot must give the same answer.
+  const std::uint32_t k = 64;
+  qc::Xoshiro256 rng(53);
+  std::vector<std::vector<double>> streams;
+  std::vector<std::size_t> run_counts;  // expected snapshot shape; 0 = many
+  streams.emplace_back();  // empty sketch
+  run_counts.push_back(0);
+  streams.push_back(qc::stream::make_stream(Distribution::kUniform, 100, 3));
+  run_counts.push_back(1);  // the tail alone
+  streams.push_back(qc::stream::make_stream(Distribution::kUniform, 2 * k, 5));
+  run_counts.push_back(1);  // one level-1 run, empty tail
+  streams.push_back(qc::stream::make_stream(Distribution::kUniform, 30'000, 7));
+  run_counts.push_back(0);
+  std::vector<double> ties(30'000);
+  for (auto& v : ties) v = static_cast<double>(rng() % 16);
+  streams.push_back(ties);
+  run_counts.push_back(0);
+  for (std::size_t i = 0; i < streams.size(); ++i) {
+    const auto& data = streams[i];
+    const auto sk = quiesced(data, k);
+    auto probe_q = sk->make_querier();
+    if (data.empty() || run_counts[i] != 0) {
+      CHECK_EQ(probe_q.runs().size(), run_counts[i]);
+    } else {
+      CHECK(probe_q.runs().size() > 4u);
+    }
+    CHECK_EQ(probe_q.size(), static_cast<std::uint64_t>(data.size()));
+    CHECK_EQ(probe_q.summary().total_weight(), probe_q.size());
+    const auto& summary = probe_q.summary();
+    for (const double phi : phi_grid()) {
+      auto q = sk->make_querier();
+      const double direct = q.quantile(phi);
+      CHECK_EQ(q.summary_builds(), 0u);
+      CHECK(same_bits(direct, qc::core::summary_quantile(q.summary(), phi)));
+      CHECK(q.summary() == summary);
+    }
+    for (const double probe : probes_for(summary)) {
+      auto q = sk->make_querier();
+      const std::uint64_t direct = q.rank(probe);
+      CHECK_EQ(q.summary_builds(), 0u);
+      CHECK_EQ(direct, qc::core::summary_rank(q.summary(), probe));
+      auto c = sk->make_querier();
+      const double cdf = c.cdf(probe);
+      CHECK_EQ(c.summary_builds(), 0u);
+      CHECK(cdf == (summary.total_weight() == 0
+                        ? 0.0
+                        : static_cast<double>(qc::core::summary_rank(summary, probe)) /
+                              static_cast<double>(summary.total_weight())));
+    }
+  }
+}
+
+QC_TEST(concurrent_direct_answers_match_the_summary) {
+  // 2 updaters and 2 queriers: after each refresh the querier answers
+  // straight from the runs of a new snapshot, then forces summary() and
+  // checks the direct answers against it.
+  const std::uint32_t k = 32;
+  auto data = qc::stream::make_stream(Distribution::kUniform, 120'000, 59);
+  for (std::size_t i = 0; i < data.size(); i += 3) data[i] = std::floor(data[i] * 16.0);
+  qc::core::Quancurrent<double> sk(small_options(k, 8));
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> direct_checks{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&, r] {
+      auto q = sk.make_querier();
+      qc::Xoshiro256 rng(61 + static_cast<std::uint64_t>(r));
+      std::uint64_t round = 0;
+      while (!stop.load(std::memory_order_acquire)) {
+        const std::uint64_t version = q.version();
+        q.refresh();
+        if (q.version() == version) continue;  // same snapshot: no direct query left
+        const std::uint64_t builds = q.summary_builds();
+        const double phi = rng.next_double();
+        const double probe = rng.next_double() * 1.2 - 0.1;
+        // Alternate which question is the snapshot's first (direct) query.
+        const bool quantile_first = (round++ % 2) == 0;
+        const double quantile = quantile_first ? q.quantile(phi) : 0.0;
+        const std::uint64_t rank = quantile_first ? 0 : q.rank(probe);
+        CHECK_EQ(q.summary_builds(), builds);
+        const auto& s = q.summary();
+        CHECK(summary_is_sorted(s));
+        CHECK_EQ(s.total_weight(), q.size());
+        if (quantile_first) {
+          CHECK(same_bits(quantile, qc::core::summary_quantile(s, phi)));
+        } else {
+          CHECK_EQ(rank, qc::core::summary_rank(s, probe));
+        }
+        direct_checks.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  qc::bench::ingest_quancurrent(sk, data, 2);
+  stop.store(true, std::memory_order_release);
+  for (auto& th : readers) th.join();
+  CHECK(direct_checks.load(std::memory_order_relaxed) > 0u);
+}
+
+QC_TEST(quiesced_querier_builds_its_summary_once) {
+  // The first query on a snapshot answers from the runs, the second builds
+  // the summary, and later queries and O(1) refreshes reuse it.
+  const auto sk = quiesced(qc::stream::make_stream(Distribution::kUniform, 20'000, 67), 64);
+  auto q = sk->make_querier();
+  const std::uint64_t version = q.version();
+  CHECK_EQ(q.summary_builds(), 0u);
+  const double first = q.quantile(0.5);
+  CHECK_EQ(q.summary_builds(), 0u);
+  CHECK(same_bits(q.quantile(0.5), first));
+  CHECK_EQ(q.summary_builds(), 1u);
+  for (int i = 0; i < 10; ++i) {
+    q.refresh();  // nothing changed: same snapshot, same summary
+    (void)q.quantile(0.01 * i);
+    (void)q.rank(0.1 * i);
+    (void)q.cdf(0.1 * i);
+  }
+  CHECK_EQ(q.summary_builds(), 1u);
+  CHECK_EQ(q.version(), version);
+  // A new snapshot starts over: direct first, then one build.
+  sk->update(2.0);
+  sk->quiesce();
+  q.refresh();
+  CHECK(q.version() != version);
+  CHECK_EQ(q.rank(3.0), 20'001u);
+  CHECK_EQ(q.summary_builds(), 1u);
+  CHECK_EQ(q.rank(3.0), 20'001u);
+  CHECK_EQ(q.summary_builds(), 2u);
+  // refresh_full() stays eager.
+  q.refresh_full();
+  CHECK_EQ(q.summary_builds(), 3u);
 }
 
 QC_TEST(backoff_spins_and_escalates) {
