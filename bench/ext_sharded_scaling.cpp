@@ -4,7 +4,7 @@
 // and one install latch; past some thread count those shared points are the
 // bottleneck (fig06a's gather_waits/latch_spins).  ShardedQuancurrent splits
 // the stream across S independent sketches (thread-affinity routing) and
-// re-merges summaries at query time, so update throughput keeps scaling.
+// queries all shards' runs as one snapshot, so update throughput keeps scaling.
 // This driver sweeps threads over {1..max(16, QC_MAX_THREADS)} for a single
 // sketch vs S ∈ {2, 4} shards, then runs a mixed phase on S = 4 to show
 // cross-shard queries staying live (and lock-free) during ingestion.

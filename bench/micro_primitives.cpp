@@ -1,16 +1,16 @@
 // Micro-benchmarks for the engine's primitives, covering both hot paths.
 //
-// Query side: merge-based summary refresh vs. the old global-sort refresh,
-// incremental (tritmap-diff) refresh vs. full re-copy, binary-search
-// quantiles vs. the old linear scan, and the summary-free answers a new
-// snapshot's first query takes (selection / per-level search over the runs).  These quantify the constants behind
-// fig06b/fig06c.
+// Query side: the full (merge) refresh vs. the incremental (tritmap-diff)
+// one, binary-search quantiles vs. the old linear scan, the summary-free
+// answers a new snapshot's first query takes (selection / per-level search
+// over the runs), and the loser-tree merge vs. the global-sort reference
+// (sort_merge_runs).  These quantify the constants behind fig06b/fig06c.
 //
 // Ingest side: the owner's Gather&Sort cost — multiway merge of pre-sorted
-// b-chunks vs. the full-sort baseline (radix batch_sort and std::sort) across
-// k x b — plus an install-combining depth sweep and the substrate ops (batch
-// radix sort, tritmap arithmetic).  These quantify the constants behind
-// fig06a/fig07a/fig07b; results land in BENCH_ingest_micro.json.
+// b-chunks vs. sorting the whole 2k buffer (radix batch_sort and std::sort)
+// across k x b — plus an install-combining depth sweep and the substrate ops
+// (batch radix sort, tritmap arithmetic).  These quantify the constants
+// behind fig06a/fig07a/fig07b; results land in BENCH_ingest_micro.json.
 //
 // Env: QC_SCALE/QC_KEYS, QC_K, QC_B, QC_BENCH_JSON.
 #include <algorithm>
@@ -86,18 +86,12 @@ int main() {
       50'000'000 / std::max<std::uint64_t>(retained, 1), 10, 2000);
 
   auto q = sk.make_querier();
-  q.set_sort_baseline(true);
-  const double sort_refresh =
-      time_per_op(refresh_iters, [&] { q.refresh_full(); });
-  q.set_sort_baseline(false);
   const double merge_refresh =
       time_per_op(refresh_iters, [&] { q.refresh_full(); });
   const double incr_refresh = time_per_op(refresh_iters * 100, [&] { q.refresh(); });
 
-  t.add_row({"refresh: global sort (old)", micros(sort_refresh),
-             "R=" + Table::integer(retained)});
   t.add_row({"refresh: multiway merge", micros(merge_refresh),
-             Table::num(sort_refresh / merge_refresh, 2) + "x vs sort"});
+             "R=" + Table::integer(retained)});
   t.add_row({"refresh: incremental (no change)", nanos(incr_refresh), "O(1) fast path"});
 
   // ----- query path: quantile/rank on a frozen snapshot --------------------
@@ -180,9 +174,9 @@ int main() {
   // on the writer threads) vs sorting the full 2k buffer from scratch (the
   // baseline; radix batch_sort and std::sort).  "merge" is the production
   // ChunkMerger (interleaved pairwise), "tree" the generic loser-tree raw
-  // merge.  Cost accounting mirrors flush_chunk exactly: the merge writes the
-  // sorted batch straight into the install cell, while a full sort works on
-  // the gather buffer in place and then memcpys into the cell — so the sort
+  // merge.  Cost accounting mirrors flush_chunk: the merge writes the sorted
+  // batch straight into the install cell, while a full sort would work on the
+  // gather buffer in place and then memcpy into the cell — so the sort
   // variants are charged sort + cell copy (the input re-copy that only
   // exists because the benchmark loop reruns the sort is subtracted).
   bench::JsonKv ingest_json("micro_ingest_primitives", scale.name);
@@ -324,14 +318,8 @@ int main() {
 
   t.print();
 
-  if (merge_refresh < sort_refresh) {
-    std::printf("\nmerge-based refresh beats sort-based refresh by %.2fx\n",
-                sort_refresh / merge_refresh);
-  } else {
-    std::printf("\nWARNING: merge-based refresh did NOT beat sort-based refresh\n");
-  }
   if (gather_merge_wins) {
-    std::printf("chunk-merge Gather&Sort beats the full-sort baseline at k >= 1024\n");
+    std::printf("\nchunk-merge Gather&Sort beats the full-sort baseline at k >= 1024\n");
   } else {
     std::printf("WARNING: chunk-merge Gather&Sort did NOT beat the full-sort "
                 "baseline at some k >= 1024 configuration\n");

@@ -1,14 +1,15 @@
 // Sorting substrate for the ingest path.
 //
-// batch_sort — fast ascending full sort, the Gather&Sort FALLBACK/BASELINE
-// when chunk pre-sorting is disabled (Options::presort_chunks = false; the
-// production pipeline merges pre-sorted chunks instead, see
-// core/run_merge.hpp ChunkMerger).  For arithmetic keys under the default
-// ordering this is an LSD radix sort over order-preserving bit images
-// (sign-flipped integers, monotone-mapped IEEE floats), with per-byte
-// histograms computed in one pass so that bytes on which all keys agree
-// (e.g. the exponent bytes of uniform [0,1) doubles) are skipped entirely.
-// Other types or custom comparators fall back to std::sort.
+// batch_sort — fast ascending full sort of one buffer: the Updater pre-sort
+// when b <= 16 or b is not a multiple of 16, the FCDS workers' buffer sort
+// (baselines/fcds.hpp), and a layer the benchmark replays.  (Gather&Sort
+// itself never full-sorts: the batch owner merges the updaters' pre-sorted
+// chunks, see core/run_merge.hpp ChunkMerger.)  For arithmetic keys under
+// the default ordering this is an LSD radix sort over order-preserving bit
+// images (sign-flipped integers, monotone-mapped IEEE floats), with per-byte
+// histograms computed in one pass so that bytes on which all keys agree (e.g.
+// the exponent bytes of uniform [0,1) doubles) are skipped entirely.  Other
+// types or custom comparators fall back to std::sort.
 //
 // small_sort — branchless sorting networks (Batcher odd-even mergesort,
 // compile-time generated, fully unrolled, cmov compare-exchanges over

@@ -25,17 +25,11 @@ struct Options {
   static constexpr std::uint32_t kMinRetireCap = 64;  // smallest nonzero retire cap
 
   std::uint32_t k = 4096;  // summary size: each level array holds k items
-  std::uint32_t b = 16;    // per-thread local buffer (elements moved per F&A)
+  // Per-thread local buffer (elements moved per F&A).  Updaters sort it
+  // before flushing, so a full gather buffer is 2k/b sorted chunks that the
+  // batch owner chunk-merges into the sorted 2k batch.
+  std::uint32_t b = 16;
   std::uint32_t rho = 2;   // Gather&Sort buffers per NUMA node
-
-  // Updaters sort their local b-buffer before flushing it, so a full gather
-  // buffer is a sequence of 2k/b sorted chunks and the batch owner builds the
-  // sorted 2k batch with a multiway chunk merge — O(2k log(2k/b)) owner work
-  // spread-sorted across all writer threads — instead of a from-scratch
-  // O(2k log 2k) full sort.  Off = the pre-chunk-merge pipeline (updaters
-  // flush raw, the owner runs batch_sort); kept as the A/B baseline for
-  // micro_primitives and fig06a.
-  bool presort_chunks = true;
 
   // Combining installer drain depth: the batch owner holding the install
   // latch installs up to this many queued sorted batches in one latch hold,

@@ -5,9 +5,9 @@
 // Ingestion pipeline — three decoupled stages, each parallel or amortized:
 //
 //   1. PRE-SORT (every update thread).  Updates land in a per-thread local
-//      buffer of b items; when it fills, the thread sorts it in place
-//      (Options::presort_chunks) and only then flushes, so sort work is
-//      spread across all writer threads while the data is L1-hot.
+//      buffer of b items; when it fills, the thread sorts it and only then
+//      flushes, so sort work is spread across all writer threads while the
+//      data is L1-hot.
 //   2. GATHER & MERGE (the batch owner).  A flush F&A-reserves b slots in the
 //      2k-element Gather&Sort buffer of the thread's NUMA node; the thread
 //      that commits the last slot becomes the batch OWNER.  Because every
@@ -46,17 +46,17 @@
 // small tenants stay small and quiesce() can hand memory back.
 //
 // Interval-based reclamation (IBR).  Retired blocks stay readable until no
-// in-flight query snapshot can still reference them.  Blocks are tagged with
-// birth/retire epochs from a global epoch counter that the latch holder
-// advances every Options::ibr_epoch_freq allocations; updater and querier
-// handles announce the epoch they entered a read region at in per-handle
-// reservation slots.  Every Options::ibr_recl_freq retirements the latch
-// holder scans the announcements and frees exactly the retired blocks whose
-// retire epoch precedes every announced epoch (into a bounded reuse pool
-// first, the allocator after).  Queriers never block on growth OR
-// reclamation: they announce, load epoch-validated pointer snapshots, copy,
-// and clear — wait-free throughout.  ibr_stats() exposes the counters the
-// abl_reclamation ablation sweeps.
+// in-flight query snapshot can still reference them.  A retired block is
+// tagged with its retire epoch, read from a global epoch counter that the
+// latch holder advances every Options::ibr_epoch_freq allocations; updater
+// and querier handles announce the epoch they entered a read region at in
+// per-handle reservation slots.  Every Options::ibr_recl_freq retirements
+// the latch holder scans the announcements and frees exactly the retired
+// blocks whose retire epoch precedes every announced epoch (into a bounded
+// reuse pool first, the allocator after).  Queriers never block on growth
+// OR reclamation: they announce, load epoch-validated pointer snapshots,
+// copy, and clear — wait-free throughout.  ibr_stats() exposes the counters
+// the abl_reclamation ablation sweeps.
 //
 // Publication protocol.  A single-batch install only writes slots that the
 // currently published tritmap marks empty, then flips the tritmap old -> new
@@ -237,13 +237,10 @@ class Quancurrent {
   static constexpr std::size_t kIbrSlotsPerChunk = 32;
   static constexpr std::size_t kFreeListCap = 64;  // reuse-pool bound
 
-  // One published k-item run.  Immutable once its pointer is published;
-  // birth/retire epochs bound its reclamation interval.  (The conservative
-  // free rule below only consults retire_epoch; birth_epoch is kept for
-  // diagnostics and the full interval-overlap variant.)
+  // One published k-item run.  Immutable once its pointer is published; its
+  // retire epoch decides when reclamation may free it.
   struct LevelBlock {
     explicit LevelBlock(std::uint32_t k) : items(k) {}
-    std::uint64_t birth_epoch = 0;
     std::uint64_t retire_epoch = 0;
     std::vector<T> items;
   };
@@ -315,7 +312,6 @@ class Quancurrent {
     const auto adjustments = opts_.normalize();
     if (opts_.collect_stats) Options::report(adjustments);
     cap_ = 2 * static_cast<std::uint64_t>(opts_.k);
-    presort_ = opts_.presort_chunks && cap_ % opts_.b == 0;
     // No level storage here: the elastic ladder allocates blocks on demand
     // (alloc_block).  Only the reclamation bookkeeping is pre-reserved so
     // retire_block rarely reallocates under the install latch.
@@ -376,8 +372,7 @@ class Quancurrent {
           lease_(sketch),
           node_(sketch.opts_.topology.node_of(thread_index)),
           b_(sketch.opts_.b),
-          presort_(sketch.presort_),
-          net_merge_(sketch.presort_ && sketch.opts_.b > 16 && sketch.opts_.b % 16 == 0),
+          net_merge_(sketch.opts_.b > 16 && sketch.opts_.b % 16 == 0),
           local_(sketch.opts_.b) {
       if (net_merge_) sorted_.resize(b_);
     }
@@ -389,7 +384,6 @@ class Quancurrent {
           lease_(std::move(other.lease_)),
           node_(other.node_),
           b_(other.b_),
-          presort_(other.presort_),
           net_merge_(other.net_merge_),
           local_(std::move(other.local_)),
           sorted_(std::move(other.sorted_)),
@@ -426,18 +420,11 @@ class Quancurrent {
     }
 
     // Bulk ingestion: memcpy-fills the local buffer in chunk-sized strides
-    // instead of one element (and one full-buffer branch) per call.  With
-    // pre-sorting disabled, whole b-chunks are flushed straight from `vs`
-    // without touching the local buffer at all.
+    // instead of one element (and one full-buffer branch) per call.
     void update(std::span<const T> vs) {
       std::size_t i = 0;
       const std::size_t n = vs.size();
       while (i < n) {
-        if (count_ == 0 && !presort_ && n - i >= b_) {
-          sketch_->flush_chunk(node_, vs.data() + i, b_, lease_.slot());
-          i += b_;
-          continue;
-        }
         const std::size_t take =
             std::min<std::size_t>(b_ - count_, n - i);
         std::memcpy(local_.data() + count_, vs.data() + i, take * sizeof(T));
@@ -460,26 +447,22 @@ class Quancurrent {
 
    private:
     // Stage 1 of the ingest pipeline: sort the full local buffer while it is
-    // cache-hot, then flush it as one pre-sorted b-chunk.  b <= 16 buffers go
-    // straight through a branchless sorting network (inside batch_sort /
-    // small_sort); larger 16-aligned buffers network-sort each 16-block and
-    // chunk-merge them — both paths keep the per-update sort cost a fraction
-    // of what the owner's from-scratch full sort used to pay per item.
+    // cache-hot, then flush it as one pre-sorted b-chunk.  Larger 16-aligned
+    // buffers network-sort each 16-block and chunk-merge them; every other b
+    // goes through batch_sort (a branchless sorting network for b <= 16, a
+    // radix sort beyond).
     void flush_local() {
-      if (presort_) {
-        if (net_merge_) {
-          for (std::uint32_t off = 0; off < b_; off += 16) {
-            small_sort(std::span<T>(local_.data() + off, 16), sketch_->cmp_);
-          }
-          merger_.merge(std::span<const T>(local_), 16, std::span<T>(sorted_),
-                        sketch_->cmp_);
-          sketch_->flush_chunk(node_, sorted_.data(), b_, lease_.slot());
-          count_ = 0;
-          return;
+      if (net_merge_) {
+        for (std::uint32_t off = 0; off < b_; off += 16) {
+          small_sort(std::span<T>(local_.data() + off, 16), sketch_->cmp_);
         }
+        merger_.merge(std::span<const T>(local_), 16, std::span<T>(sorted_),
+                      sketch_->cmp_);
+        sketch_->flush_chunk(node_, sorted_.data(), b_, lease_.slot());
+      } else {
         batch_sort(std::span<T>(local_), sort_aux_, sketch_->cmp_);
+        sketch_->flush_chunk(node_, local_.data(), b_, lease_.slot());
       }
-      sketch_->flush_chunk(node_, local_.data(), b_, lease_.slot());
       count_ = 0;
     }
 
@@ -487,7 +470,6 @@ class Quancurrent {
     IbrSlotLease lease_;  // this handle's epoch announcement slot
     std::uint32_t node_;
     std::uint32_t b_;
-    bool presort_;
     bool net_merge_;  // pre-sort via 16-networks + chunk merge (16 | b)
     std::vector<T> local_;
     std::vector<T> sorted_;    // net_merge_ output, flushed instead of local_
@@ -745,17 +727,17 @@ class Quancurrent {
   // quantile/rank/cdf/size then answer from those frozen sorted runs without
   // touching shared state.  The first query on a new snapshot answers
   // straight from the runs (rank: one binary search per run; quantile: a
-  // multi-run selection, core/run_merge.hpp), so a querier racing live
-  // ingest, which sees a new snapshot on nearly every refresh, never pays a
-  // full merge.  The second query on the same snapshot builds the merged
-  // prefix-weight summary, and every later one is an O(log R) binary search
-  // over it.  Both paths give identical answers (tested).  A handle is not
-  // thread-safe: one per thread.
+  // multi-run selection), so a querier racing live ingest, which sees a new
+  // snapshot on nearly every refresh, never pays a full merge.  The second
+  // query on the same snapshot builds the merged prefix-weight summary, and
+  // every later one is an O(log R) binary search over it (RunSnapshot,
+  // core/run_merge.hpp).  Both paths give identical answers (tested).  A
+  // handle is not thread-safe: one per thread.
   class Querier {
    public:
     explicit Querier(Quancurrent& sketch)
         : sketch_(&sketch), lease_(sketch), cache_(kLevels) {
-      runs_.reserve(2 * static_cast<std::size_t>(kLevels) + 1);
+      snap_.reserve(2 * static_cast<std::size_t>(kLevels) + 1);
       refresh();
     }
 
@@ -770,52 +752,32 @@ class Quancurrent {
     // the one refresh() leads to (tested), just slower to reach.
     void refresh_full() {
       refresh_impl(/*force_full=*/true);
-      build_summary();
+      snap_.summary();  // every refresh_impl(true) installs a new snapshot
     }
 
-    // Benchmarking/diagnostic knob: build summaries by flattening all runs
-    // and globally sorting (the pre-merge-engine algorithm) instead of
-    // multiway-merging.  Answers are identical; only the build cost changes.
-    void set_sort_baseline(bool on) { sort_baseline_ = on; }
-
-    std::uint64_t size() const { return size_; }
+    std::uint64_t size() const { return snap_.size(); }
     std::uint64_t holes() const { return holes_; }
 
     // Bumps every time a refresh installs a new snapshot; an O(1) refresh
     // (nothing published, no tail churn) leaves it unchanged.
-    // Cross-sketch aggregators (ShardedQuancurrent::Querier) use it to skip
-    // re-merging shards whose snapshots did not move.
+    // ShardedQuancurrent::Querier re-lays its run list only when some
+    // shard's version moved.
     std::uint64_t version() const { return version_; }
 
     // Summaries built so far: lazily by queries and summary(), eagerly by
     // refresh_full().
-    std::uint64_t summary_builds() const { return summary_builds_; }
+    std::uint64_t summary_builds() const { return snap_.summary_builds(); }
 
     // The current snapshot as sorted weighted runs: level slots ascending,
     // then the tail.  The direct answers and the summary both read these.
-    std::span<const RunRef<T>> runs() const { return runs_; }
+    std::span<const RunRef<T>> runs() const { return snap_.runs(); }
 
     // The value-sorted summary of the current snapshot, built on first use.
-    const WeightedSummary<T>& summary() const {
-      if (!summary_ready_) build_summary();
-      return summary_;
-    }
+    const WeightedSummary<T>& summary() const { return snap_.summary(); }
 
-    T quantile(double phi) const {
-      return summary_ready_ || summary_due()
-                 ? summary_quantile(summary_, phi)
-                 : selector_.quantile(runs(), phi, sketch_->cmp_);
-    }
-
-    std::uint64_t rank(const T& v) const {
-      return summary_ready_ || summary_due() ? summary_rank(summary_, v, sketch_->cmp_)
-                                             : runs_rank(runs(), v, sketch_->cmp_);
-    }
-
-    double cdf(const T& v) const {
-      return size_ == 0 ? 0.0
-                        : static_cast<double>(rank(v)) / static_cast<double>(size_);
-    }
+    T quantile(double phi) const { return snap_.quantile(phi); }
+    std::uint64_t rank(const T& v) const { return snap_.rank(v); }
+    double cdf(const T& v) const { return snap_.cdf(v); }
 
    private:
     static constexpr std::uint32_t kSnapshotRetries = 8;
@@ -1046,72 +1008,38 @@ class Quancurrent {
     // tail) that the answers and the summary read.  The run order is
     // deterministic, and the merge breaks ties by run index, so incremental
     // and full refreshes of the same snapshot produce identical summaries.
-    // No-throw: runs_ was reserved for the deepest ladder.
+    // No-throw: snap_ was reserved for the deepest ladder.
     void install_snapshot(Tritmap tm) {
       const std::uint32_t k = sketch_->opts_.k;
-      runs_.clear();
+      snap_.clear();
       for (std::uint32_t level = 1; level < tm.num_levels(); ++level) {
         auto& c = cache_[level];
         c.live = c.pick;
         const RunCopy& r = c.copy[c.live];
         const std::uint32_t trit = std::min(r.copied, tm.trit(level));
         for (std::uint32_t slot = 0; slot < trit; ++slot) {
-          runs_.push_back({r.runs.data() + static_cast<std::size_t>(slot) * k, k,
-                           1ULL << level});
+          snap_.push({r.runs.data() + static_cast<std::size_t>(slot) * k, k,
+                      1ULL << level});
         }
       }
       sorted_tail_.live = sorted_tail_.pick;
       const std::vector<T>& tail = sorted_tail_.copy[sorted_tail_.live].items;
-      if (!tail.empty()) runs_.push_back({tail.data(), tail.size(), 1});
-      size_ = runs_total_weight(runs());
-      summary_ready_ = false;
-      queries_ = 0;
+      if (!tail.empty()) snap_.push({tail.data(), tail.size(), 1});
+      snap_.publish();
       ++version_;
-    }
-
-    // Called while the summary is not built.  The first query on a snapshot
-    // answers from the runs (false); the second builds the summary for
-    // itself and every later one.  A build that cannot allocate leaves that
-    // query answering from the runs too.
-    bool summary_due() const {
-      if (queries_++ == 0) return false;
-      try {
-        build_summary();
-      } catch (const std::bad_alloc&) {
-        return false;
-      }
-      return true;
-    }
-
-    void build_summary() const {
-      if (sort_baseline_) {
-        sort_merge_runs(runs(), summary_, sort_scratch_, sketch_->cmp_);
-      } else {
-        merger_.merge(runs(), summary_, sketch_->cmp_);
-      }
-      summary_ready_ = true;
-      ++summary_builds_;
     }
 
     Quancurrent* sketch_;
     IbrSlotLease lease_;  // this handle's epoch announcement slot
     std::vector<DoubleCopy<RunCopy>> cache_;
     DoubleCopy<TailCopy> sorted_tail_;
-    std::vector<RunRef<T>> runs_;  // the current snapshot
-    std::uint64_t size_ = 0;
     std::uint64_t snap_seq_ = kNever;
     std::uint64_t snap_tail_ver_ = kNever;
     std::uint64_t holes_ = 0;
     std::uint64_t version_ = 0;
-    bool sort_baseline_ = false;
-    // Query-side state: the selection scratch and the lazily built summary.
-    mutable RunSelector<T, Compare> selector_;
-    mutable RunMerger<T, Compare> merger_;
-    mutable std::vector<std::pair<T, std::uint64_t>> sort_scratch_;
-    mutable WeightedSummary<T> summary_;
-    mutable bool summary_ready_ = false;
-    mutable std::uint64_t queries_ = 0;  // on the current snapshot
-    mutable std::uint64_t summary_builds_ = 0;
+    // Last, after the fields refresh() reads on every call: with snap_ in
+    // between, query_idle measured ~7% fewer queries per second.
+    RunSnapshot<T, Compare> snap_;  // the current snapshot
   };
 
   Querier make_querier() { return Querier(*this); }
@@ -1252,12 +1180,12 @@ class Quancurrent {
       return nullptr;
     }
     Options o;
-    std::uint8_t presort = 0;
+    std::uint8_t retired_presort = 0;  // ignored, see write_payload
     std::uint8_t stats = 0;
     std::uint8_t serprop = 0;
     std::array<std::uint64_t, 4> rng_state{};
     std::uint64_t tritmap_raw = 0;
-    if (!r.get(o.k) || !r.get(o.b) || !r.get(o.rho) || !r.get(presort) ||
+    if (!r.get(o.k) || !r.get(o.b) || !r.get(o.rho) || !r.get(retired_presort) ||
         !r.get(stats) || !r.get(o.install_combine) || !r.get(o.install_queue) ||
         !r.get(serprop) || !r.get(o.ibr_epoch_freq) || !r.get(o.ibr_recl_freq) ||
         !r.get(o.ibr_retire_cap) || !r.get(o.latch_watchdog_ns) ||
@@ -1267,7 +1195,6 @@ class Quancurrent {
       serde::set_status(status, serde::Status::short_buffer);
       return nullptr;
     }
-    o.presort_chunks = presort != 0;
     o.collect_stats = stats != 0;
     o.serialize_propagation = serprop != 0;
     if (o.k < 2 || o.rho == 0 || o.topology.nodes == 0 ||
@@ -1399,18 +1326,16 @@ class Quancurrent {
 
   // One Gather&Sort buffer.  All three counters are monotonic: reservation
   // position p belongs to ordinal p / cap, and a buffer serves ordinal o only
-  // once `ordinal` has advanced to o.  merger/sort_aux are owner-only
-  // scratch: exactly one owner exists per buffer at a time (the next
-  // ordinal's owner cannot finish committing before the current owner
-  // reopens the ordinal, and the current owner stops touching the scratch
-  // before reopening).
+  // once `ordinal` has advanced to o.  `merger` is owner-only scratch:
+  // exactly one owner exists per buffer at a time (the next ordinal's owner
+  // cannot finish committing before the current owner reopens the ordinal,
+  // and the current owner stops touching the scratch before reopening).
   struct Gather {
     explicit Gather(std::uint64_t cap) : slots(cap) {}
     alignas(64) std::atomic<std::uint64_t> reserved{0};
     alignas(64) std::atomic<std::uint64_t> committed{0};
     alignas(64) std::atomic<std::uint64_t> ordinal{0};
     std::vector<T> slots;
-    std::vector<T> sort_aux;           // full-sort fallback radix scratch
     ChunkMerger<T, Compare> merger;    // chunk-merge Gather&Sort
   };
 
@@ -1543,7 +1468,6 @@ class Quancurrent {
       ibr_epoch_.fetch_add(1, std::memory_order_seq_cst);
       ibr_epochs_.fetch_add(1, std::memory_order_relaxed);
     }
-    b->birth_epoch = ibr_epoch_.load(std::memory_order_relaxed);
     b->retire_epoch = 0;
     return b;
   }
@@ -1785,7 +1709,10 @@ class Quancurrent {
     w.put(opts_.k);
     w.put(opts_.b);
     w.put(opts_.rho);
-    w.put(static_cast<std::uint8_t>(opts_.presort_chunks ? 1 : 0));
+    // Formerly the updater pre-sort switch; pre-sorting is no longer
+    // optional.  The byte stays so the format is unchanged, and deserialize
+    // ignores it.
+    w.put(std::uint8_t{1});
     w.put(static_cast<std::uint8_t>(opts_.collect_stats ? 1 : 0));
     w.put(opts_.install_combine);
     w.put(opts_.install_queue);
@@ -1903,13 +1830,8 @@ class Quancurrent {
       const std::uint64_t cell_pos = acquire_cell();
       InstallCell& cell = install_q_[cell_pos & (opts_.install_queue - 1)];
       cell.level = 0;
-      if (presort_) {
-        gb.merger.merge(std::span<const T>(gb.slots.data(), cap_), opts_.b,
-                        std::span<T>(cell.items.data(), cap_), cmp_);
-      } else {
-        batch_sort(std::span<T>(gb.slots), gb.sort_aux, cmp_);
-        std::memcpy(cell.items.data(), gb.slots.data(), cap_ * sizeof(T));
-      }
+      gb.merger.merge(std::span<const T>(gb.slots.data(), cap_), opts_.b,
+                      std::span<T>(cell.items.data(), cap_), cmp_);
       gb.ordinal.store(ord + 1, std::memory_order_release);
       cell.seq.store(cell_pos + 1, std::memory_order_release);
       drain_until(cell_pos);
@@ -2139,7 +2061,6 @@ class Quancurrent {
 
   Options opts_;
   std::uint64_t cap_ = 0;  // gather batch size: 2k
-  bool presort_ = true;    // presort_chunks resolved against b | 2k
   Compare cmp_;
 
   std::vector<std::unique_ptr<Node>> nodes_;

@@ -16,7 +16,8 @@
 // than once.  runs_rank and RunSelector answer the same questions straight
 // from the sorted runs — rank as one binary search per run, quantile as a
 // multi-run selection — for a few microseconds instead of the O(R log L)
-// merge; Querier uses them for the first query on each new snapshot.
+// merge.  RunSnapshot holds that policy for both queriers: the first query
+// on each new snapshot answers from the runs, the second builds the summary.
 //
 // Ties between runs break by run index, so for a fixed run order the merge
 // output is fully deterministic — which is what lets an incremental refresh
@@ -28,6 +29,7 @@
 #include <cassert>
 #include <cstdint>
 #include <functional>
+#include <new>
 #include <span>
 #include <utility>
 #include <vector>
@@ -277,12 +279,13 @@ class RunSelector {
 //
 // Two front ends share the loser tree:
 //   merge()       — weighted summary output, run-index tie-break (the query
-//                   engine; deterministic for cache/full refresh equivalence).
+//                   engine; deterministic for cache/full refresh equivalence,
+//                   and across shards when their runs are concatenated in
+//                   shard order).
 //   merge_items() — raw item output, no weights and no tie-break (equal items
 //                   are interchangeable values), one comparison per tree node.
-//                   This is the ingest path's Gather&Sort primitive: the batch
-//                   owner merges the gather buffer's pre-sorted b-chunks
-//                   instead of sorting 2k items from scratch.
+//                   The FCDS baseline merges its base buffer's sorted runs
+//                   with it.
 template <typename T, typename Compare = std::less<T>>
 class RunMerger {
  public:
@@ -312,46 +315,6 @@ class RunMerger {
         },
         [this, &out](std::size_t w) {
           out.append(runs_[w].data[pos_[w]], runs_[w].weight);
-        });
-  }
-
-  // Merges S value-sorted weighted summaries (e.g. one per shard of a
-  // ShardedQuancurrent) into one combined summary, preserving each item's
-  // individual weight.  Ties break toward the lower part index, so the
-  // cross-shard summary is deterministic for a fixed shard order.
-  void merge_weighted(std::span<const WeightedSummary<T>* const> parts,
-                      WeightedSummary<T>& out, Compare cmp = Compare()) {
-    out.clear();
-    std::size_t total = 0;
-    wrefs_.clear();
-    for (const WeightedSummary<T>* p : parts) {
-      wrefs_.push_back({p->items().data(), p->size(), 1});
-      total += p->size();
-    }
-    out.reserve(total);
-    if (total == 0) return;
-    if (parts.size() == 1) {
-      const auto items = parts[0]->items();
-      const auto prefix = parts[0]->prefix_weights();
-      for (std::size_t i = 0; i < items.size(); ++i) {
-        out.append(items[i], prefix[i] - (i == 0 ? 0 : prefix[i - 1]));
-      }
-      return;
-    }
-    runs_ = wrefs_;
-    cmp_ = cmp;
-    run_tree(
-        [this](std::size_t i, std::size_t j) {
-          const T& a = runs_[i].data[pos_[i]];
-          const T& b = runs_[j].data[pos_[j]];
-          if (cmp_(a, b)) return true;
-          if (cmp_(b, a)) return false;
-          return i < j;
-        },
-        [this, parts, &out](std::size_t w) {
-          const auto prefix = parts[w]->prefix_weights();
-          const std::size_t i = pos_[w];
-          out.append(runs_[w].data[i], prefix[i] - (i == 0 ? 0 : prefix[i - 1]));
         });
   }
 
@@ -437,11 +400,91 @@ class RunMerger {
   }
 
   std::span<const RunRef<T>> runs_;
-  std::vector<RunRef<T>> wrefs_;  // merge_weighted's synthesized run views
   Compare cmp_{};
   std::vector<std::size_t> pos_;
   std::vector<std::size_t> tree_;
   std::vector<std::size_t> win_;  // init-time scratch
+};
+
+// A query snapshot held as sorted weighted runs, and the answer policy both
+// queriers (Quancurrent's and ShardedQuancurrent's) share.  The first query
+// on a snapshot answers straight from the runs — runs_rank, RunSelector —
+// and the second builds the merged summary, which it and every later query
+// binary-search.  Both paths give the same answers, bit for bit.  A caller
+// lays a snapshot out with clear() and push(), then makes it current with
+// publish(); the runs' data must stay valid until the next publish().
+template <typename T, typename Compare = std::less<T>>
+class RunSnapshot {
+ public:
+  // Room for `n` runs, so that push() cannot throw for the first `n`.
+  void reserve(std::size_t n) { runs_.reserve(n); }
+  void clear() { runs_.clear(); }
+  void push(const RunRef<T>& run) { runs_.push_back(run); }
+
+  void publish() {
+    size_ = runs_total_weight(runs());
+    summary_ready_ = false;
+    queries_ = 0;
+  }
+
+  std::span<const RunRef<T>> runs() const { return runs_; }
+  std::uint64_t size() const { return size_; }
+
+  // Summaries built so far, by queries and by summary().
+  std::uint64_t summary_builds() const { return summary_builds_; }
+
+  // The value-sorted summary of the current snapshot, built on first use.
+  const WeightedSummary<T>& summary() const {
+    if (!summary_ready_) build_summary();
+    return summary_;
+  }
+
+  T quantile(double phi) const {
+    return summary_ready_ || summary_due() ? summary_quantile(summary_, phi)
+                                           : selector_.quantile(runs(), phi, cmp_);
+  }
+
+  std::uint64_t rank(const T& v) const {
+    return summary_ready_ || summary_due() ? summary_rank(summary_, v, cmp_)
+                                           : runs_rank(runs(), v, cmp_);
+  }
+
+  double cdf(const T& v) const {
+    return size_ == 0 ? 0.0 : static_cast<double>(rank(v)) / static_cast<double>(size_);
+  }
+
+ private:
+  // Called while the summary is not built.  The first query on a snapshot
+  // answers from the runs (false); the second builds the summary for itself
+  // and every later one.  A build that cannot allocate leaves that query
+  // answering from the runs too.  Out of line, so that the answer paths
+  // above stay small enough to inline into a caller's query loop.
+  [[gnu::noinline]] bool summary_due() const {
+    if (queries_++ == 0) return false;
+    try {
+      build_summary();
+    } catch (const std::bad_alloc&) {
+      return false;
+    }
+    return true;
+  }
+
+  void build_summary() const {
+    merger_.merge(runs(), summary_, cmp_);
+    summary_ready_ = true;
+    ++summary_builds_;
+  }
+
+  std::vector<RunRef<T>> runs_;
+  std::uint64_t size_ = 0;
+  // Query-side state: the selection scratch and the lazily built summary.
+  mutable RunSelector<T, Compare> selector_;
+  mutable RunMerger<T, Compare> merger_;
+  mutable WeightedSummary<T> summary_;
+  mutable bool summary_ready_ = false;
+  mutable std::uint64_t queries_ = 0;  // on the current snapshot
+  mutable std::uint64_t summary_builds_ = 0;
+  Compare cmp_{};
 };
 
 // Views `data` as consecutive sorted chunks of `chunk` items (the last chunk
@@ -667,8 +710,8 @@ class ChunkMerger {
 };
 
 // The pre-merge-engine summary construction — flatten every run into (item,
-// weight) pairs and globally sort.  Kept only as the baseline
-// micro_primitives benches against (Querier::set_sort_baseline).
+// weight) pairs and globally sort.  Kept as the reference RunMerger::merge is
+// tested against, and as a micro_primitives row.
 template <typename T, typename Compare = std::less<T>>
 void sort_merge_runs(std::span<const RunRef<T>> runs, WeightedSummary<T>& out,
                      std::vector<std::pair<T, std::uint64_t>>& scratch,

@@ -22,11 +22,13 @@
 //     summaries are also consumed individually, e.g. shipped to different
 //     aggregators).
 //
-// Queries.  Querier holds one wait-free per-shard querier plus a cross-shard
-// RunMerger pass: refresh() refreshes each shard (O(1) when that shard has
-// not published) and re-merges the per-shard weighted summaries only when at
-// least one of them actually rebuilt — queries take no lock anywhere, and
-// answers come from the same O(log R) binary searches as a single sketch.
+// Queries.  Querier holds one wait-free per-shard querier, and its snapshot
+// is the shards' sorted runs laid end to end, shard by shard: refresh()
+// refreshes each shard (O(1) when that shard has not published) and re-lays
+// the run list only when some shard's snapshot moved.  Answers follow the
+// same policy as a single sketch's (RunSnapshot, core/run_merge.hpp): the
+// first query on a snapshot answers from the runs, the second builds the
+// merged summary.  Queries take no lock anywhere.
 #pragma once
 
 #include <algorithm>
@@ -152,11 +154,12 @@ class ShardedQuancurrent {
 
   // ----- queries -----------------------------------------------------------
 
-  // Cross-shard point-in-time view: one wait-free querier per shard plus a
-  // merged summary.  refresh() is incremental twice over — each shard
-  // querier reuses its cached runs, and the cross-shard merge is skipped
-  // entirely unless some shard actually rebuilt.  No lock anywhere on this
-  // path.
+  // Cross-shard point-in-time view: one wait-free querier per shard, whose
+  // runs make up the snapshot.  refresh() is incremental twice over — each
+  // shard querier reuses its cached runs, and the run list is left alone
+  // unless some shard's snapshot moved.  The merge breaks ties by run index,
+  // so the summary equals a merge of the shards' summaries in shard order.
+  // No lock anywhere on this path.
   class Querier {
    public:
     explicit Querier(ShardedQuancurrent& sketch) {
@@ -165,26 +168,35 @@ class ShardedQuancurrent {
         inners_.push_back(sketch.shards_[s]->make_querier());
       }
       versions_.assign(inners_.size(), ~std::uint64_t{0});
+      // As many runs as every shard's deepest snapshot, so collect_runs()
+      // cannot throw.
+      snap_.reserve(inners_.size() * (2 * static_cast<std::size_t>(Tritmap::kMaxLevels) + 1));
       refresh();
     }
 
+    // A shard refresh that throws leaves that shard on its previous
+    // snapshot, but the shards refreshed before it have moved on, and their
+    // next refresh may overwrite the copies the old run list points into.
+    // So the run list is re-collected from every shard's live snapshot
+    // before the exception propagates.
     void refresh() {
       bool changed = false;
-      for (std::size_t s = 0; s < inners_.size(); ++s) {
-        inners_[s].refresh();
-        if (versions_[s] != inners_[s].version()) {
-          versions_[s] = inners_[s].version();
-          changed = true;
+      try {
+        for (std::size_t s = 0; s < inners_.size(); ++s) {
+          inners_[s].refresh();
+          if (versions_[s] != inners_[s].version()) {
+            versions_[s] = inners_[s].version();
+            changed = true;
+          }
         }
+      } catch (...) {
+        collect_runs();
+        throw;
       }
-      if (!changed) return;
-      parts_.clear();
-      for (const auto& q : inners_) parts_.push_back(&q.summary());
-      merger_.merge_weighted(
-          std::span<const WeightedSummary<T>* const>(parts_), summary_, cmp_);
+      if (changed) collect_runs();
     }
 
-    std::uint64_t size() const { return summary_.total_weight(); }
+    std::uint64_t size() const { return snap_.size(); }
 
     std::uint64_t holes() const {
       std::uint64_t h = 0;
@@ -192,25 +204,31 @@ class ShardedQuancurrent {
       return h;
     }
 
-    const WeightedSummary<T>& summary() const { return summary_; }
+    // Shard s's querier, whose live snapshot this view's runs point into.
+    const typename Shard::Querier& shard_querier(std::size_t s) const { return inners_[s]; }
 
-    T quantile(double phi) const { return summary_quantile(summary_, phi); }
+    std::span<const RunRef<T>> runs() const { return snap_.runs(); }
+    std::uint64_t summary_builds() const { return snap_.summary_builds(); }
+    const WeightedSummary<T>& summary() const { return snap_.summary(); }
 
-    std::uint64_t rank(const T& v) const { return summary_rank(summary_, v, cmp_); }
-
-    double cdf(const T& v) const {
-      const std::uint64_t total = summary_.total_weight();
-      return total == 0 ? 0.0
-                        : static_cast<double>(rank(v)) / static_cast<double>(total);
-    }
+    T quantile(double phi) const { return snap_.quantile(phi); }
+    std::uint64_t rank(const T& v) const { return snap_.rank(v); }
+    double cdf(const T& v) const { return snap_.cdf(v); }
 
    private:
+    // Lays the shards' live runs end to end, shard by shard.  No-throw:
+    // snap_ was reserved for every shard's deepest snapshot.
+    void collect_runs() {
+      snap_.clear();
+      for (const auto& q : inners_) {
+        for (const RunRef<T>& r : q.runs()) snap_.push(r);
+      }
+      snap_.publish();
+    }
+
     std::vector<typename Shard::Querier> inners_;
     std::vector<std::uint64_t> versions_;
-    std::vector<const WeightedSummary<T>*> parts_;
-    RunMerger<T, Compare> merger_;
-    WeightedSummary<T> summary_;
-    Compare cmp_{};
+    RunSnapshot<T, Compare> snap_;
   };
 
   Querier make_querier() { return Querier(*this); }

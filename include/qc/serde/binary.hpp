@@ -87,6 +87,9 @@ class Writer {
         ok_ = false;
         return;
       }
+      // n == 0 may come with a null `data` (an empty vector's), which
+      // memcpy does not allow.
+      if (n == 0) return;
       std::memcpy(buf_ + pos_, data, n);
       // Chaos builds only: model a bit flip between serialization and
       // deserialization (bad disk, bad NIC).  Corrupts the stored copy, never
@@ -121,6 +124,7 @@ class Reader {
 
   [[nodiscard]] bool get_bytes(void* out, std::size_t n) {
     if (cap_ - pos_ < n) return false;
+    if (n == 0) return true;  // `out` may be null (see Writer::put_bytes)
     std::memcpy(out, buf_ + pos_, n);
     pos_ += n;
     return true;

@@ -403,6 +403,51 @@ QC_TEST(failed_query_refresh_keeps_the_previous_snapshot) {
   }
   CHECK(failures >= 2u);
   CHECK_EQ(q.size(), std::uint64_t{8'000});
+
+  // The sharded querier's runs point into its shard queriers' live copies.
+  // A failure part way through its refresh leaves the shards before the
+  // failing one on new snapshots, so its view must follow them — and their
+  // next refresh rewrites (and may reallocate) the copies it used to read.
+  inj.reset();  // the last one-shot above never fired
+  qc::ShardedQuancurrent<double> sharded(3, small_options(64, 8));
+  const auto feed = [&sharded](double base, int count) {
+    for (std::uint32_t t = 0; t < sharded.num_shards(); ++t) {
+      auto u = sharded.make_updater(t);
+      for (int i = 0; i < count; ++i) u.update(base + static_cast<double>(i % 977));
+    }
+  };
+  feed(0.0, 5'000);
+  sharded.quiesce();
+  auto sq = sharded.make_querier();
+  const auto live_size = [&sq, &sharded] {
+    std::uint64_t total = 0;
+    for (std::uint32_t s = 0; s < sharded.num_shards(); ++s) {
+      total += sq.shard_querier(s).size();
+    }
+    return total;
+  };
+  failures = 0;
+  for (std::uint64_t n = 1;; ++n) {
+    feed(1e6 + static_cast<double>(n), 50);  // every shard's tail changes
+    inj.arm_hit(Point::querier_copy_alloc, inj.counters(Point::querier_copy_alloc).hits + n);
+    try {
+      sq.refresh();
+    } catch (const std::bad_alloc&) {
+      ++failures;
+      CHECK_EQ(sq.size(), live_size());
+      const double direct = sq.quantile(0.5);
+      CHECK(direct == qc::core::summary_quantile(sq.summary(), 0.5));
+      CHECK_EQ(sq.rank(1e300), sq.size());
+      continue;
+    }
+    break;
+  }
+  CHECK(failures >= 3u);
+  inj.reset();
+  sharded.quiesce();
+  sq.refresh();
+  CHECK_EQ(sq.size(), sharded.size());
+  CHECK_EQ(sq.size(), live_size());
 }
 
 // ----- degradation under stalled readers ------------------------------------

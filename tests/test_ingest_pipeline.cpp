@@ -208,31 +208,40 @@ QC_TEST(quiesce_drains_pending_install_queue) {
   CHECK_EQ(q.rank(1e18), 2 * cap + 5);
 }
 
-// The pre-sort pipeline and the full-sort fallback must produce identical
-// sketch state on the same single-threaded input (same batch order, same
-// parity coins, same sorted batch values).
-QC_TEST(presort_and_fullsort_pipelines_are_bit_identical) {
+// Single-threaded, the whole Gather&Sort pipeline (pre-sorted b-chunks,
+// chunk merge, combining install) must leave exactly the sketch state that
+// installing each 2k slice of the stream, fully sorted, leaves: same batch
+// order, same parity coins, same sorted batch values.
+QC_TEST(updater_ingest_equals_installing_sorted_batches) {
   const std::uint64_t n = 50'000;
   auto data = qc::stream::make_stream(Distribution::kUniform, n, 29);
-  auto run = [&](bool presort) {
-    auto o = pipeline_options(128, 16);
-    o.presort_chunks = presort;
-    auto sk = std::make_unique<qc::core::Quancurrent<double>>(o);
-    {
-      auto u = sk->make_updater(0);
-      u.update(std::span<const double>(data));
-    }
-    sk->quiesce();
-    return sk;
-  };
-  auto with = run(true);
-  auto without = run(false);
-  CHECK_EQ(with->size(), n);
-  CHECK_EQ(without->size(), n);
-  CHECK_EQ(with->tritmap().raw(), without->tritmap().raw());
-  auto qw = with->make_querier();
-  auto qo = without->make_querier();
-  CHECK(qw.summary() == qo.summary());
+  const auto o = pipeline_options(128, 16);
+  const std::size_t cap = 2 * o.k;
+  qc::core::Quancurrent<double> ingested(o);
+  {
+    auto u = ingested.make_updater(0);
+    u.update(std::span<const double>(data));
+  }
+  ingested.quiesce();
+
+  qc::core::Quancurrent<double> installed(o);
+  const std::size_t full = data.size() - data.size() % cap;
+  for (std::size_t off = 0; off < full; off += cap) {
+    std::vector<double> batch(data.begin() + static_cast<std::ptrdiff_t>(off),
+                              data.begin() + static_cast<std::ptrdiff_t>(off + cap));
+    std::sort(batch.begin(), batch.end());
+    installed.enqueue_batch(std::span<const double>(batch));
+    installed.drain_installs();
+  }
+  installed.push_tail(data.data() + full, data.size() - full);
+  installed.quiesce();
+
+  CHECK_EQ(ingested.size(), n);
+  CHECK_EQ(installed.size(), n);
+  CHECK_EQ(ingested.tritmap().raw(), installed.tritmap().raw());
+  auto qi = ingested.make_querier();
+  auto qb = installed.make_querier();
+  CHECK(qi.summary() == qb.summary());
 }
 
 // Bulk update(span) must be byte-for-byte equivalent to element-wise

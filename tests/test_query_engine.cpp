@@ -21,6 +21,7 @@
 #include "common/rng.hpp"
 #include "core/quancurrent.hpp"
 #include "core/run_merge.hpp"
+#include "core/sharded.hpp"
 #include "qc_test.hpp"
 #include "stream/exact_quantiles.hpp"
 #include "stream/generators.hpp"
@@ -218,10 +219,40 @@ QC_TEST(direct_run_answers_match_the_merged_summary) {
   check_runs_match_merge(runs);
 }
 
+namespace {
+
+// Each question goes to a fresh querier of `sk`, whose first query on its
+// snapshot answers from the runs; the lazily built summary of the same
+// snapshot must give the same answer.
+template <typename Sketch>
+void check_first_answers_match_summary(Sketch& sk) {
+  auto probe_q = sk.make_querier();
+  const auto& summary = probe_q.summary();
+  for (const double phi : phi_grid()) {
+    auto q = sk.make_querier();
+    const double direct = q.quantile(phi);
+    CHECK_EQ(q.summary_builds(), 0u);
+    CHECK(same_bits(direct, qc::core::summary_quantile(q.summary(), phi)));
+    CHECK(q.summary() == summary);
+  }
+  for (const double probe : probes_for(summary)) {
+    auto q = sk.make_querier();
+    const std::uint64_t direct = q.rank(probe);
+    CHECK_EQ(q.summary_builds(), 0u);
+    CHECK_EQ(direct, qc::core::summary_rank(q.summary(), probe));
+    auto c = sk.make_querier();
+    const double cdf = c.cdf(probe);
+    CHECK_EQ(c.summary_builds(), 0u);
+    CHECK(cdf == (summary.total_weight() == 0
+                      ? 0.0
+                      : static_cast<double>(qc::core::summary_rank(summary, probe)) /
+                            static_cast<double>(summary.total_weight())));
+  }
+}
+
+}  // namespace
+
 QC_TEST(querier_direct_answers_match_its_summary) {
-  // Each question goes to a fresh querier, whose first query on its
-  // snapshot answers from the runs; the lazily built summary of the same
-  // snapshot must give the same answer.
   const std::uint32_t k = 64;
   qc::Xoshiro256 rng(53);
   std::vector<std::vector<double>> streams;
@@ -249,28 +280,20 @@ QC_TEST(querier_direct_answers_match_its_summary) {
     }
     CHECK_EQ(probe_q.size(), static_cast<std::uint64_t>(data.size()));
     CHECK_EQ(probe_q.summary().total_weight(), probe_q.size());
-    const auto& summary = probe_q.summary();
-    for (const double phi : phi_grid()) {
-      auto q = sk->make_querier();
-      const double direct = q.quantile(phi);
-      CHECK_EQ(q.summary_builds(), 0u);
-      CHECK(same_bits(direct, qc::core::summary_quantile(q.summary(), phi)));
-      CHECK(q.summary() == summary);
-    }
-    for (const double probe : probes_for(summary)) {
-      auto q = sk->make_querier();
-      const std::uint64_t direct = q.rank(probe);
-      CHECK_EQ(q.summary_builds(), 0u);
-      CHECK_EQ(direct, qc::core::summary_rank(q.summary(), probe));
-      auto c = sk->make_querier();
-      const double cdf = c.cdf(probe);
-      CHECK_EQ(c.summary_builds(), 0u);
-      CHECK(cdf == (summary.total_weight() == 0
-                        ? 0.0
-                        : static_cast<double>(qc::core::summary_rank(summary, probe)) /
-                              static_cast<double>(summary.total_weight())));
-    }
+    check_first_answers_match_summary(*sk);
   }
+  // Three shards fed the same 16 integer values, so equal items sit in runs
+  // of different shards.
+  qc::core::ShardedQuancurrent<double> sharded(3, small_options(k, 8));
+  for (std::uint32_t t = 0; t < 3; ++t) {
+    auto u = sharded.make_updater(t);
+    for (int i = 0; i < 10'000; ++i) u.update(static_cast<double>(rng() % 16));
+  }
+  sharded.quiesce();
+  auto probe_q = sharded.make_querier();
+  CHECK(probe_q.runs().size() > 6u);
+  CHECK_EQ(probe_q.size(), 30'000u);
+  check_first_answers_match_summary(sharded);
 }
 
 QC_TEST(concurrent_direct_answers_match_the_summary) {
@@ -459,13 +482,6 @@ QC_TEST(incremental_and_full_refresh_return_identical_summaries) {
     ++rounds;
   }
   CHECK(rounds >= 8u);
-
-  // The sort-baseline knob answers identically too (tie order may differ for
-  // duplicate items, but uniform doubles are duplicate-free).
-  auto baseline = sk.make_querier();
-  baseline.set_sort_baseline(true);
-  baseline.refresh_full();
-  CHECK(baseline.summary() == incremental.summary());
 }
 
 QC_TEST(incremental_refresh_is_noop_when_nothing_changed) {
@@ -492,7 +508,7 @@ QC_TEST(incremental_refresh_is_noop_when_nothing_changed) {
 }
 
 QC_TEST(sequential_sketch_summary_uses_prefix_weights) {
-  qc::sketch::QuantilesSketch<double> sk(128);
+  qc::sequential::QuantilesSketch<double> sk(128);
   auto data = qc::stream::make_stream(Distribution::kUniform, 30'000, 5);
   for (const double v : data) sk.update(v);
   const auto& s = sk.summary();

@@ -74,6 +74,30 @@ QC_TEST(concurrent_roundtrip_is_bit_identical) {
   CHECK(q_src.summary() == q_back.summary());  // bit-identical summary
 }
 
+QC_TEST(concurrent_image_with_presort_byte_cleared_still_loads) {
+  // The options byte at offset 24 (after the 12-byte header and k, b, rho)
+  // once switched the updater pre-sort off.  Images that cleared it must
+  // still load, and answer like the sketch they came from.
+  const auto data = qc::stream::make_stream(Distribution::kUniform, 20'000, 9);
+  qc::Quancurrent<double> sk(small_options(128, 8));
+  qc::bench::ingest_quancurrent(sk, data, 2, /*quiesce=*/true);
+  auto blob = serialize_of(sk);
+  CHECK(blob[24] == std::byte{1});
+  blob[24] = std::byte{0};
+  qc::serde::Status st = qc::serde::Status::bad_payload;
+  auto back = qc::Quancurrent<double>::deserialize(blob, &st);
+  CHECK(st == qc::serde::Status::ok);
+  CHECK(back != nullptr);
+  CHECK(back->tritmap() == sk.tritmap());
+  auto q_src = sk.make_querier();
+  auto q_back = back->make_querier();
+  for (const double phi : {0.0, 0.1, 0.5, 0.9, 1.0}) {
+    CHECK(q_back.quantile(phi) == q_src.quantile(phi));
+  }
+  CHECK(q_src.summary() == q_back.summary());
+  CHECK(serialize_of(*back) == serialize_of(sk));  // the byte is written as 1
+}
+
 QC_TEST(concurrent_roundtrip_preserves_tail) {
   // 10 elements never reach an installed batch: all state lives in the tail.
   qc::Quancurrent<double> sk(small_options(128, 8));

@@ -128,6 +128,12 @@ QC_TEST(cross_shard_summary_equals_single_sketch_union) {
 
 QC_TEST(cross_shard_refresh_is_incremental) {
   qc::ShardedQuancurrent<double> sk(2, small_options(64, 8));
+  // The cross-shard view reads the shards' runs, never their summaries.
+  const auto no_shard_summaries = [&sk](const auto& q) {
+    for (std::uint32_t s = 0; s < sk.num_shards(); ++s) {
+      CHECK_EQ(q.shard_querier(s).summary_builds(), 0u);
+    }
+  };
   {
     auto u = sk.make_updater(0);
     for (int i = 0; i < 5'000; ++i) u.update(static_cast<double>(i));
@@ -135,10 +141,16 @@ QC_TEST(cross_shard_refresh_is_incremental) {
   sk.quiesce();
   auto q = sk.make_querier();
   const std::uint64_t size_before = q.size();
+  const double median = q.quantile(0.5);  // first query: from the runs
+  CHECK_EQ(q.summary_builds(), 0u);
+  no_shard_summaries(q);
   // No publication anywhere: refresh must be a no-op (and stay correct).
   q.refresh();
   q.refresh();
   CHECK_EQ(q.size(), size_before);
+  CHECK(q.quantile(0.5) == median);  // second query on the snapshot: builds
+  CHECK_EQ(q.summary_builds(), 1u);
+  no_shard_summaries(q);
 
   // New data in one shard becomes visible after refresh.
   {
@@ -148,6 +160,9 @@ QC_TEST(cross_shard_refresh_is_incremental) {
   sk.quiesce();
   q.refresh();
   CHECK_EQ(q.size(), 2 * size_before);
+  CHECK_EQ(q.rank(1e9), 2 * size_before);
+  CHECK_EQ(q.summary_builds(), 1u);
+  no_shard_summaries(q);
 }
 
 QC_TEST(sharded_queries_live_during_ingest) {
