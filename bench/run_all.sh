@@ -5,11 +5,9 @@
 # -> BENCH_ingest_micro with the Gather&Sort and install-combining sweeps,
 # fig07c -> BENCH_rho, ext_sharded_scaling -> BENCH_sharded, fig10_vs_fcds
 # -> BENCH_fig10 with the Quancurrent-vs-FCDS matched-relaxation sweep,
-# ext_kll_compare -> BENCH_kll, ext_theta_scaling -> BENCH_theta,
-# ext_checkpoint -> BENCH_checkpoint with checkpoint latency vs sketch size
-# and the ingest dip under a checkpoint cadence, abl_propagation ->
-# BENCH_abl_propagation, abl_reclamation ->
-# BENCH_abl_reclamation with the IBR cadence sweep) drop their JSON into
+# ext_kll_compare -> BENCH_kll, ext_checkpoint -> BENCH_checkpoint with
+# checkpoint latency vs sketch size and the ingest dip under a checkpoint
+# cadence, abl_propagation -> BENCH_abl_propagation) drop their JSON into
 # QC_BENCH_JSON (default: the build dir), where CI picks them up as
 # artifacts and bench/check_regression.py gates on the tput series.
 # Usage: bench/run_all.sh [build-dir]   (default: build)
@@ -47,8 +45,7 @@ fi
 
 for json in BENCH_ingest.json BENCH_query.json BENCH_ingest_micro.json \
             BENCH_rho.json BENCH_sharded.json BENCH_fig10.json \
-            BENCH_kll.json BENCH_theta.json BENCH_checkpoint.json \
-            BENCH_abl_propagation.json BENCH_abl_reclamation.json; do
+            BENCH_kll.json BENCH_checkpoint.json BENCH_abl_propagation.json; do
   if [ -f "${QC_BENCH_JSON}/${json}" ]; then
     echo "perf artifact: ${QC_BENCH_JSON}/${json}"
   else

@@ -21,7 +21,6 @@ struct Options {
   static constexpr std::uint32_t kMaxRho = 64;               // buffers per node
   static constexpr std::uint32_t kMaxNodes = 64;             // NUMA nodes
   static constexpr std::uint32_t kMaxInstallQueue = 1u << 12;  // 2k-item cells
-  static constexpr std::uint32_t kMaxIbrFreq = 1u << 20;       // IBR cadence cap
   static constexpr std::uint32_t kMinRetireCap = 64;  // smallest nonzero retire cap
 
   std::uint32_t k = 4096;  // summary size: each level array holds k items
@@ -44,33 +43,17 @@ struct Options {
   // bounds the ingest-to-query relaxation by install_queue * 2k elements.
   std::uint32_t install_queue = 0;
 
-  // Interval-based reclamation cadence for the elastic level blocks.  The
-  // ladder's k-item arrays are allocated on demand (not preallocated) and a
-  // rewritten slot's displaced block is RETIRED, not freed: it stays readable
-  // until no in-flight query snapshot can still reference it.  Two knobs
-  // govern the bookkeeping, both counted at the install latch holder:
-  //
-  //   * ibr_epoch_freq — advance the global reclamation epoch once every this
-  //     many block allocations.  Coarser epochs (larger values) mean cheaper
-  //     bookkeeping but blocks stay unreclaimable longer, raising the peak
-  //     retire-list size (ibr_stats().peak_unreclaimed).
-  //   * ibr_recl_freq — run a reclamation scan (compare every retired block's
-  //     retire epoch against all announced reader epochs, free the safe ones)
-  //     once every this many retirements.  Smaller values bound the live
-  //     block count tighter at the cost of more scans (ibr_stats().scans).
-  //
-  // Clamped to [1, kMaxIbrFreq]: 0 would never advance/scan (an unbounded
-  // retire list), and values past the cap are indistinguishable from "never"
-  // at any realistic stream length.  The abl_reclamation bench sweeps both.
-  std::uint32_t ibr_epoch_freq = 16;
-  std::uint32_t ibr_recl_freq = 64;
-
-  // Bounded-memory response to stalled readers.  IBR's conservative free
-  // rule means one parked querier handle (announced epoch never cleared)
-  // pins every later retirement on the retire list indefinitely.  When the
-  // list would exceed this many blocks, the latch holder first forces an
-  // off-cadence scan (ibr_stats().forced_scans); if the scan cannot free
-  // below the cap — a reader really is stalled — the sketch enters DEGRADED
+  // Bounded-memory response to stalled readers.  The ladder's k-item level
+  // blocks are allocated on demand, and a rewritten slot's displaced block
+  // is RETIRED, not freed: it stays readable until no in-flight query
+  // snapshot can still reference it, and the install-latch holder reclaims
+  // the retired blocks once at the end of every drain group (interval-based
+  // reclamation; see core/quancurrent.hpp).  IBR's conservative free rule
+  // means one parked querier handle (announced epoch never cleared) pins
+  // every later retirement on the retire list indefinitely.  When the list
+  // would exceed this many blocks, the latch holder first forces an extra
+  // scan (ibr_stats().forced_scans); if the scan cannot free below the
+  // cap — a reader really is stalled — the sketch enters DEGRADED
   // mode (ibr_stats().degraded): ingest throttles at the install latch until
   // a scan succeeds, so retired memory stays <= cap * k * sizeof(T) instead
   // of growing without bound.  Queries are unaffected (they never take the
@@ -114,9 +97,9 @@ struct Options {
   // Clamps fields into the ranges the engine supports and returns the list
   // of rewrites applied: k >= 2, rho >= 1, b adjusted down to the nearest
   // divisor of the 2k batch size so that F&A reservations always tile the
-  // gather buffer exactly, install_combine in [1, 256], both IBR cadences in
-  // [1, kMaxIbrFreq], and install_queue rounded up to a power of two large
-  // enough to hold one full drain group.
+  // gather buffer exactly, install_combine in [1, 256], a nonzero
+  // ibr_retire_cap >= kMinRetireCap, and install_queue rounded up to a power
+  // of two large enough to hold one full drain group.
   // Normalizing already-normalized options applies (and returns) nothing.
   std::vector<Adjustment> normalize() {
     std::vector<Adjustment> log;
@@ -152,22 +135,6 @@ struct Options {
     if (install_combine > 256) {
       adjust("install_combine", install_combine, 256,
              "install_combine <= 256 (bounded latch hold)");
-    }
-    if (ibr_epoch_freq == 0) {
-      adjust("ibr_epoch_freq", ibr_epoch_freq, 1,
-             "ibr_epoch_freq >= 1 (0 would never advance the epoch)");
-    }
-    if (ibr_epoch_freq > kMaxIbrFreq) {
-      adjust("ibr_epoch_freq", ibr_epoch_freq, kMaxIbrFreq,
-             "ibr_epoch_freq <= 2^20 (coarser epochs never reclaim)");
-    }
-    if (ibr_recl_freq == 0) {
-      adjust("ibr_recl_freq", ibr_recl_freq, 1,
-             "ibr_recl_freq >= 1 (0 would never scan the retire list)");
-    }
-    if (ibr_recl_freq > kMaxIbrFreq) {
-      adjust("ibr_recl_freq", ibr_recl_freq, kMaxIbrFreq,
-             "ibr_recl_freq <= 2^20 (rarer scans never reclaim)");
     }
     if (ibr_retire_cap != 0 && ibr_retire_cap < kMinRetireCap) {
       adjust("ibr_retire_cap", ibr_retire_cap, kMinRetireCap,

@@ -46,17 +46,24 @@
 // small tenants stay small and quiesce() can hand memory back.
 //
 // Interval-based reclamation (IBR).  Retired blocks stay readable until no
-// in-flight query snapshot can still reference them.  A retired block is
-// tagged with its retire epoch, read from a global epoch counter that the
-// latch holder advances every Options::ibr_epoch_freq allocations; updater
-// and querier handles announce the epoch they entered a read region at in
-// per-handle reservation slots.  Every Options::ibr_recl_freq retirements
-// the latch holder scans the announcements and frees exactly the retired
-// blocks whose retire epoch precedes every announced epoch (into a bounded
-// reuse pool first, the allocator after).  Queriers never block on growth
-// OR reclamation: they announce, load epoch-validated pointer snapshots,
-// copy, and clear — wait-free throughout.  ibr_stats() exposes the counters
-// the abl_reclamation ablation sweeps.
+// in-flight query snapshot can still reference them.  Queriers are the only
+// code that reads blocks without holding the install latch (updaters,
+// merge_into and serialize read them as, or under, the latch holder, and
+// only the latch holder frees), so only Querier handles announce: a refresh
+// stores the global epoch it entered at in its handle's reservation slot and
+// clears it when done.  A retired block is stamped with the current epoch.
+// The rule has no settings: the latch holder scans once at the end of every
+// drain group that left the retire list non-empty (quiesce() and the retire
+// cap scan too), and every scan first advances the epoch (seq_cst), then
+// sweeps the announcements, then frees exactly the retired blocks whose
+// stamp precedes every announced epoch (into a bounded reuse pool first, the
+// allocator after).  Safety: a block with stamp r is freed only when every
+// announced epoch is greater than r.  The advance past r is ordered after
+// the seq_cst store that unpublished the block, so a reader that announces
+// the new epoch loads its pointers after the unpublish and cannot load that
+// block; a reader whose announcement the sweep missed announced after the
+// sweep, later still.  Queriers never block on growth OR reclamation: they
+// announce, load pointer snapshots, copy, and clear — wait-free throughout.
 //
 // Publication protocol.  A single-batch install only writes slots that the
 // currently published tritmap marks empty, then flips the tritmap old -> new
@@ -199,23 +206,21 @@ struct Stats {
 };
 
 // Counters behind Quancurrent::ibr_stats() — the observable surface of the
-// interval-based reclamation scheme (see the file comment) and the axes the
-// abl_reclamation ablation sweeps.  Every field is monotonic; live_blocks()
-// is the derived point-in-time holding.
+// interval-based reclamation scheme (see the file comment).  Every field is
+// monotonic; live_blocks() is the derived point-in-time holding.
 struct IbrStats {
-  std::uint64_t epochs = 0;     // global reclamation-epoch advances
   std::uint64_t allocated = 0;  // LevelBlocks obtained from the allocator
   std::uint64_t reused = 0;     // block requests served by the reuse pool
   std::uint64_t retired = 0;    // blocks unpublished onto the retire list
   std::uint64_t reclaimed = 0;  // blocks proven safe and taken off it
   std::uint64_t freed = 0;      // blocks returned to the allocator
-  std::uint64_t scans = 0;      // reclamation scans (announcement sweeps)
+  std::uint64_t scans = 0;      // reclamation scans (one epoch advance each)
   std::uint64_t peak_unreclaimed = 0;  // largest retire-list size ever seen
 
   // Stalled-handle detection (Options::ibr_retire_cap; failure-model section
   // of the file comment).  forced_scans / throttle_waits are monotone; the
   // last three are point-in-time observations, not counters.
-  std::uint64_t forced_scans = 0;     // off-cadence scans forced by the cap
+  std::uint64_t forced_scans = 0;     // extra scans forced by the cap
   std::uint64_t throttle_waits = 0;   // throttle episodes (ingest paused)
   std::uint64_t retire_list_len = 0;  // current retire-list length
   std::uint64_t pinned_epoch_age = 0;  // epochs the oldest announced pin lags
@@ -247,9 +252,13 @@ class Quancurrent {
 
   // One per-handle epoch announcement slot.  `announced` is the epoch the
   // handle's current read region entered at (kIdleEpoch when quiescent);
-  // `in_use` is slot ownership, recycled across handle lifetimes.
+  // `in_use` is slot ownership, recycled across handle lifetimes.  Every
+  // query stores `announced` twice, so each slot owns a 128-byte-aligned
+  // pair of cache lines: x86 L2 prefetchers fetch lines in such pairs, and
+  // with 64-byte slots concurrent queriers' stores contended (query_idle
+  // ran ~7% fewer queries/s, depending on where the chunk landed).
   struct IbrSlot {
-    alignas(64) std::atomic<std::uint64_t> announced{kIdleEpoch};
+    alignas(128) std::atomic<std::uint64_t> announced{kIdleEpoch};
     std::atomic<bool> in_use{false};
   };
 
@@ -261,8 +270,7 @@ class Quancurrent {
     std::atomic<IbrSlotChunk*> next{nullptr};
   };
 
-  // RAII ownership of one announcement slot for a handle's lifetime; movable
-  // so the Updater/Querier handles stay movable.
+  // RAII ownership of one announcement slot for a Querier's lifetime.
   class IbrSlotLease {
    public:
     explicit IbrSlotLease(Quancurrent& sketch) : slot_(sketch.acquire_ibr_slot()) {}
@@ -342,9 +350,10 @@ class Quancurrent {
 
   // Every block (published, retired, or pooled) and every announcement chunk
   // is owned by the sketch.  The convenience handles are torn down FIRST:
-  // the updater drains into the tail and both release announcement slots
-  // that live inside the chunks deleted below.  External handles must not
-  // outlive the sketch (they hold a raw back-pointer already).
+  // the updater drains into the tail and the querier releases an
+  // announcement slot that lives inside the chunks deleted below.  External
+  // handles must not outlive the sketch (they hold a raw back-pointer
+  // already).
   ~Quancurrent() {
     self_querier_.reset();
     self_updater_.reset();
@@ -369,7 +378,6 @@ class Quancurrent {
    public:
     Updater(Quancurrent& sketch, std::uint32_t thread_index)
         : sketch_(&sketch),
-          lease_(sketch),
           node_(sketch.opts_.topology.node_of(thread_index)),
           b_(sketch.opts_.b),
           net_merge_(sketch.opts_.b > 16 && sketch.opts_.b % 16 == 0),
@@ -381,7 +389,6 @@ class Quancurrent {
     Updater& operator=(const Updater&) = delete;
     Updater(Updater&& other) noexcept
         : sketch_(std::exchange(other.sketch_, nullptr)),
-          lease_(std::move(other.lease_)),
           node_(other.node_),
           b_(other.b_),
           net_merge_(other.net_merge_),
@@ -458,16 +465,15 @@ class Quancurrent {
         }
         merger_.merge(std::span<const T>(local_), 16, std::span<T>(sorted_),
                       sketch_->cmp_);
-        sketch_->flush_chunk(node_, sorted_.data(), b_, lease_.slot());
+        sketch_->flush_chunk(node_, sorted_.data(), b_);
       } else {
         batch_sort(std::span<T>(local_), sort_aux_, sketch_->cmp_);
-        sketch_->flush_chunk(node_, local_.data(), b_, lease_.slot());
+        sketch_->flush_chunk(node_, local_.data(), b_);
       }
       count_ = 0;
     }
 
     Quancurrent* sketch_;
-    IbrSlotLease lease_;  // this handle's epoch announcement slot
     std::uint32_t node_;
     std::uint32_t b_;
     bool net_merge_;  // pre-sort via 16-networks + chunk merge (16 | b)
@@ -613,7 +619,6 @@ class Quancurrent {
   // ingestion the fields are individually, not mutually, consistent.
   IbrStats ibr_stats() const {
     IbrStats s;
-    s.epochs = ibr_epochs_.load(std::memory_order_relaxed);
     s.allocated = ibr_allocated_.load(std::memory_order_relaxed);
     s.reused = ibr_reused_.load(std::memory_order_relaxed);
     s.retired = ibr_retired_.load(std::memory_order_relaxed);
@@ -626,7 +631,7 @@ class Quancurrent {
     s.retire_list_len = retire_list_len_.load(std::memory_order_relaxed);
     s.degraded = degraded_.load(std::memory_order_relaxed);
     // Stalled-handle detection: a healthy pin lags the global epoch by at
-    // most a scan cadence or two; an age that keeps growing names the
+    // most a drain group or two; an age that keeps growing names the
     // failure (a parked handle) rather than its symptom (a long retire
     // list).  The announcement sweep is O(handles) — diagnostic-path cost.
     const std::uint64_t min_e = min_announced_epoch();
@@ -1181,15 +1186,15 @@ class Quancurrent {
     }
     Options o;
     std::uint8_t retired_presort = 0;  // ignored, see write_payload
+    std::array<std::uint32_t, 2> retired_ibr_cadence{};  // ignored, see write_payload
     std::uint8_t stats = 0;
     std::uint8_t serprop = 0;
     std::array<std::uint64_t, 4> rng_state{};
     std::uint64_t tritmap_raw = 0;
     if (!r.get(o.k) || !r.get(o.b) || !r.get(o.rho) || !r.get(retired_presort) ||
         !r.get(stats) || !r.get(o.install_combine) || !r.get(o.install_queue) ||
-        !r.get(serprop) || !r.get(o.ibr_epoch_freq) || !r.get(o.ibr_recl_freq) ||
-        !r.get(o.ibr_retire_cap) || !r.get(o.latch_watchdog_ns) ||
-        !r.get(o.seed) || !r.get(o.topology.nodes) ||
+        !r.get(serprop) || !r.get(retired_ibr_cadence) || !r.get(o.ibr_retire_cap) ||
+        !r.get(o.latch_watchdog_ns) || !r.get(o.seed) || !r.get(o.topology.nodes) ||
         !r.get(o.topology.threads_per_node) || !r.get(rng_state) ||
         !r.get(tritmap_raw)) {
       serde::set_status(status, serde::Status::short_buffer);
@@ -1447,8 +1452,7 @@ class Quancurrent {
   // except acquire_ibr_slot which is lock-free) -----------------------------
 
   // Hands out a block to fill: reuse pool first (proven-safe blocks, no
-  // allocator traffic), `new` otherwise.  Advances the global reclamation
-  // epoch every ibr_epoch_freq allocations and stamps the block's birth.
+  // allocator traffic), `new` otherwise.
   LevelBlock* alloc_block() QC_REQUIRES(latch_) {
     LevelBlock* b;
     if (!free_blocks_.empty()) {
@@ -1463,12 +1467,6 @@ class Quancurrent {
       b = new LevelBlock(opts_.k);
       ibr_allocated_.fetch_add(1, std::memory_order_relaxed);
     }
-    if (++allocs_since_epoch_ >= opts_.ibr_epoch_freq) {
-      allocs_since_epoch_ = 0;
-      ibr_epoch_.fetch_add(1, std::memory_order_seq_cst);
-      ibr_epochs_.fetch_add(1, std::memory_order_relaxed);
-    }
-    b->retire_epoch = 0;
     return b;
   }
 
@@ -1486,7 +1484,8 @@ class Quancurrent {
   }
 
   // Moves a displaced block onto the retire list, stamped with the current
-  // epoch; runs a reclamation scan every ibr_recl_freq retirements.
+  // epoch.  No scan here: drain_group (and quiesce) scan once after the
+  // group's retirements, which advances the epoch past this stamp.
   void retire_block(LevelBlock* b) QC_REQUIRES(latch_) {
     b->retire_epoch = ibr_epoch_.load(std::memory_order_relaxed);
     // qc-lint-allow(no-alloc-under-latch): no-throw in practice — capacity is
@@ -1496,10 +1495,6 @@ class Quancurrent {
     retire_list_len_.store(retired_.size(), std::memory_order_relaxed);
     if (retired_.size() > ibr_peak_unreclaimed_.load(std::memory_order_relaxed)) {
       ibr_peak_unreclaimed_.store(retired_.size(), std::memory_order_relaxed);
-    }
-    if (++retires_since_scan_ >= opts_.ibr_recl_freq) {
-      retires_since_scan_ = 0;
-      ibr_scan();
     }
   }
 
@@ -1511,7 +1506,8 @@ class Quancurrent {
   // (its subsequent seq_cst pointer load cannot return the retired block) —
   // exactly the dichotomy the free rule in ibr_scan needs.  (A seq_cst
   // fence + relaxed loads would do the same, but GCC's -Wtsan rejects
-  // fences under -fsanitize=thread, and scans are rare enough not to care.)
+  // fences under -fsanitize=thread, and a scan runs at most once per drain
+  // group, next to that group's k-item cascade copies.)
   // No latch requirement: reads only atomics (ibr_stats() sweeps it lock-free
   // too); the free rule in ibr_scan is what needs the latch, not this sweep.
   std::uint64_t min_announced_epoch() const {
@@ -1526,28 +1522,22 @@ class Quancurrent {
     return min_e;
   }
 
-  // Reclamation scan: free every retired block whose retire epoch precedes
-  // all announced epochs.  A reader holding a pointer into block B announced
-  // an epoch a <= B's retire stamp r (it announced before loading the
-  // pointer, and the pointer was unpublished before r was stamped), so
-  // r < min_announced implies no reader can still hold B.  This is the
-  // conservative epoch rule of interval-based reclamation — the birth/retire
-  // interval tags support the finer overlap rule, but the conservative one
-  // already bounds the retire list by the scan cadence.
+  // Reclamation scan: advance the epoch, then free every retired block whose
+  // retire stamp precedes all announced epochs.  The advance comes first and
+  // is seq_cst, so it follows every unpublishing store of the blocks on the
+  // list: a reader that announces the new epoch (or any later one) loads
+  // its pointers after those stores and cannot reach a retired block, and a
+  // reader holding a pointer into block B announced an epoch <= B's stamp r.
+  // So r < min_announced implies no reader can still hold B — the
+  // conservative epoch rule of interval-based reclamation.
   void ibr_scan() QC_REQUIRES(latch_) {
+    ibr_epoch_.fetch_add(1, std::memory_order_seq_cst);
     ibr_scans_.fetch_add(1, std::memory_order_relaxed);
     const std::uint64_t min_e = min_announced_epoch();
     std::size_t kept = 0;
     for (LevelBlock* b : retired_) {
       if (b->retire_epoch < min_e) {
-        if (free_blocks_.size() < kFreeListCap) {
-          // qc-lint-allow(no-alloc-under-latch): bounded by kFreeListCap and
-          // pool capacity is warmed by the first scans; never on the hot path.
-          free_blocks_.push_back(b);
-        } else {
-          delete b;
-          ibr_freed_.fetch_add(1, std::memory_order_relaxed);
-        }
+        pool_or_free(b);
       } else {
         retired_[kept++] = b;
       }
@@ -1574,7 +1564,7 @@ class Quancurrent {
   // the latch and are unaffected; producers feel it as install-queue
   // backpressure.  The wait is observable: ibr_stats().degraded flips true
   // for the episode, throttle_waits counts episodes, forced_scans counts
-  // every off-cadence scan, and the latch watchdog times the hold.
+  // every scan the cap forces, and the latch watchdog times the hold.
   void enforce_retire_cap(std::uint32_t upcoming) QC_REQUIRES(latch_) {
     const std::uint32_t cap = opts_.ibr_retire_cap;
     if (cap == 0 || retired_.size() + upcoming <= cap) return;
@@ -1663,21 +1653,25 @@ class Quancurrent {
   // reuse pool, allocator-bound overflow freed.  The accounting stays
   // consistent: pooled blocks count as live until quiesce flushes the pool.
   void release_stash() QC_REQUIRES(latch_) {
-    for (LevelBlock* b : stash_) {
-      if (free_blocks_.size() < kFreeListCap) {
-        // qc-lint-allow(no-alloc-under-latch): bounded pool, same rationale
-        // as the ibr_scan free-list push.
-        free_blocks_.push_back(b);
-      } else {
-        delete b;
-        ibr_freed_.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
+    for (LevelBlock* b : stash_) pool_or_free(b);
     stash_.clear();
   }
 
+  // Parks a block no reader can reach in the bounded reuse pool, or returns
+  // it to the allocator once the pool is full.
+  void pool_or_free(LevelBlock* b) QC_REQUIRES(latch_) {
+    if (free_blocks_.size() < kFreeListCap) {
+      // qc-lint-allow(no-alloc-under-latch): bounded by kFreeListCap, and
+      // pool capacity is reserved at construction; never reallocates.
+      free_blocks_.push_back(b);
+    } else {
+      delete b;
+      ibr_freed_.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+
   // Claims a free announcement slot, growing the chunk list when none is
-  // free.  Lock-free; called once per handle construction.
+  // free.  Lock-free; called once per Querier construction.
   IbrSlot* acquire_ibr_slot() {
     for (IbrSlotChunk* c = ibr_chunks_.load(std::memory_order_acquire);
          c != nullptr; c = c->next.load(std::memory_order_acquire)) {
@@ -1717,8 +1711,11 @@ class Quancurrent {
     w.put(opts_.install_combine);
     w.put(opts_.install_queue);
     w.put(static_cast<std::uint8_t>(opts_.serialize_propagation ? 1 : 0));
-    w.put(opts_.ibr_epoch_freq);
-    w.put(opts_.ibr_recl_freq);
+    // Formerly the two IBR cadence knobs; reclamation now scans once per
+    // drain group.  The fields keep their old default values so the format
+    // is unchanged, and deserialize ignores them.
+    w.put(std::uint32_t{16});
+    w.put(std::uint32_t{64});
     w.put(opts_.ibr_retire_cap);
     w.put(opts_.latch_watchdog_ns);
     w.put(opts_.seed);
@@ -1761,31 +1758,11 @@ class Quancurrent {
   // the final slot becomes the batch owner and runs Gather&Sort (a multiway
   // merge of the buffer's pre-sorted b-chunks straight into an install-queue
   // cell), reopens the ordinal, and hands the batch to the combining
-  // installer.
-  void flush_chunk(std::uint32_t node_idx, const T* items, std::uint32_t count,
-                   IbrSlot* slot = nullptr) QC_EXCLUDES(latch_) {
-    // Updater-side epoch announcement (relaxed): a flush can end up holding
-    // the install latch and touching blocks, but the latch already excludes
-    // the reclaimer, so this is defense-in-depth that also keeps the
-    // abl_reclamation accounting honest about writer-side read regions.  A
-    // stale announcement only delays reclamation — the safe direction.
-    //
-    // CRITICAL: the announcement must be CLEARED before every wait in this
-    // function (the ordinal wait, acquire_cell, drain_until).  A parked
-    // producer holding a pinned epoch would deadlock against the retire-cap
-    // throttle: the latch holder waits for all pins to advance while the
-    // producer waits for the latch holder to drain.  Clearing is safe — the
-    // waits touch no level blocks (gather slots and install cells are
-    // sketch-owned arrays, not IBR-managed blocks).
-    const auto unpin = [slot] {
-      if (slot != nullptr) {
-        slot->announced.store(kIdleEpoch, std::memory_order_relaxed);
-      }
-    };
-    if (slot != nullptr) {
-      slot->announced.store(ibr_epoch_.load(std::memory_order_relaxed),
-                            std::memory_order_relaxed);
-    }
+  // installer.  It announces no reclamation epoch: a flush touches level
+  // blocks only as the install-latch holder, which is also the only thread
+  // that frees them.
+  void flush_chunk(std::uint32_t node_idx, const T* items, std::uint32_t count)
+      QC_EXCLUDES(latch_) {
     Node& node = *nodes_[node_idx];
     const std::uint64_t gen = node.cur.load(std::memory_order_acquire);
     Gather& gb = *node.bufs[gen % opts_.rho];
@@ -1803,7 +1780,6 @@ class Quancurrent {
       if (opts_.collect_stats) {
         stat_gather_waits_.fetch_add(1, std::memory_order_relaxed);
       }
-      unpin();  // the owner we wait on may itself be throttled (see above)
       Backoff backoff;
       while (gb.ordinal.load(std::memory_order_acquire) != ord) backoff.spin();
     }
@@ -1826,7 +1802,6 @@ class Quancurrent {
       if (opts_.serialize_propagation) {
         serialized = std::unique_lock<std::mutex>(prop_mu_);
       }
-      unpin();  // acquire_cell and drain_until both park (see above)
       const std::uint64_t cell_pos = acquire_cell();
       InstallCell& cell = install_q_[cell_pos & (opts_.install_queue - 1)];
       cell.level = 0;
@@ -1836,7 +1811,6 @@ class Quancurrent {
       cell.seq.store(cell_pos + 1, std::memory_order_release);
       drain_until(cell_pos);
     }
-    unpin();
   }
 
   // Claims the next install-queue ticket and waits (backpressure) until its
@@ -1899,8 +1873,9 @@ class Quancurrent {
   // scratch_, rng_ (the parity coins), epoch_counter_ / level_epoch_,
   // install_head_, the tritmap_ CAS, and the install_seq_ advance — plus all
   // block allocation, retirement, and reclamation (alloc_block /
-  // retire_block / ibr_scan are latch-holder-only).  The reuse pool keeps
-  // the common case allocation-free; stats counters are relaxed atomics.
+  // retire_block / ibr_scan are latch-holder-only; a group that retired
+  // blocks ends with one scan).  The reuse pool keeps the common case
+  // allocation-free; stats counters are relaxed atomics.
   //
   // Seqlock phase: the first batch of a group starts from the published
   // tritmap, so (like the old single-batch installer) it only writes slots
@@ -1956,6 +1931,10 @@ class Quancurrent {
     // phases; a group that flipped odd adds the second half here.
     install_seq_.fetch_add(seq_odd ? 1 : 2, std::memory_order_release);
     install_head_.store(head, std::memory_order_release);
+    // The group's cascades retired the blocks they displaced; reclaim them
+    // now, with the group already published (IBR, file comment).  Only a
+    // parked querier keeps blocks on the list past this scan.
+    if (!retired_.empty()) ibr_scan();
     if (opts_.collect_stats) {
       const std::uint64_t drained = head - start;
       stat_batches_.fetch_add(drained, std::memory_order_relaxed);
@@ -2076,17 +2055,14 @@ class Quancurrent {
   // reuse cached runs across refreshes; see Querier::collect_levels.
   std::array<std::atomic<std::uint64_t>, kLevels> level_epoch_{};
 
-  // ----- IBR state.  The vectors and cadence counters are latch-protected;
-  // the epoch, chunk list, and stat counters are atomics. --------------------
+  // ----- IBR state.  The vectors are latch-protected; the epoch (advanced
+  // by every scan), chunk list, and stat counters are atomics. --------------
   std::atomic<std::uint64_t> ibr_epoch_{1};
-  std::uint32_t allocs_since_epoch_ QC_GUARDED_BY(latch_) = 0;
-  std::uint32_t retires_since_scan_ QC_GUARDED_BY(latch_) = 0;
   // unpublished, awaiting proof of safety
   std::vector<LevelBlock*> retired_ QC_GUARDED_BY(latch_);
   // proven-safe reuse pool (bounded)
   std::vector<LevelBlock*> free_blocks_ QC_GUARDED_BY(latch_);
   std::atomic<IbrSlotChunk*> ibr_chunks_{nullptr};
-  std::atomic<std::uint64_t> ibr_epochs_{0};
   std::atomic<std::uint64_t> ibr_allocated_{0};
   std::atomic<std::uint64_t> ibr_reused_{0};
   std::atomic<std::uint64_t> ibr_retired_{0};

@@ -282,7 +282,6 @@ class ShardedQuancurrent {
     IbrStats total;
     for (const auto& s : shards_) {
       const IbrStats st = s->ibr_stats();
-      total.epochs += st.epochs;
       total.allocated += st.allocated;
       total.reused += st.reused;
       total.retired += st.retired;

@@ -10,15 +10,14 @@
 // already occupied.  The expected normalized rank error is O(1/k).
 //
 // The base buffer is kept as a sequence of pre-sorted chunks: every time it
-// crosses a `presort_chunk` boundary the newest chunk is sorted in place
+// crosses a kPresortChunk boundary the newest chunk is sorted in place
 // while it is still cache-hot, and the compaction/query paths produce the
 // fully sorted base with the same chunk-merge primitive Quancurrent's
 // Gather&Sort uses (core/run_merge.hpp ChunkMerger) instead of a
 // from-scratch full sort — the Ivkin-style amortization of update-time sort
-// work.  The
-// merged output is the same value sequence a full sort would produce, so the
-// sketch's state and answers are bit-identical either way (presort_chunk = 0
-// restores the plain full-sort path).
+// work.  The merged output is the same value sequence a full sort would
+// produce, so the sketch's state and answers are bit-identical either way
+// (a k with 2k <= kPresortChunk takes the plain full-sort path).
 //
 // Queries go through the same merge-based engine as Quancurrent's Querier
 // (core/run_merge.hpp): the levels are sorted runs already, so the summary is
@@ -97,15 +96,14 @@ class QuantilesSketch {
  public:
   using value_type = T;
 
-  explicit QuantilesSketch(std::uint32_t k, std::uint64_t seed = 0x5eed5eed5eed5eedULL,
-                           std::uint32_t presort_chunk = 256)
+  explicit QuantilesSketch(std::uint32_t k, std::uint64_t seed = 0x5eed5eed5eed5eedULL)
       // Same k ceiling as the concurrent engine (core::Options::kMaxK), so
       // serialized images of either engine never carry a k that deserialize
       // must reject.
       : k_(std::min(k == 0 ? 1 : k, core::Options::kMaxK)), rng_(seed), cmp_() {
     base_.reserve(2 * static_cast<std::size_t>(k_));
-    chunk_ = std::min<std::size_t>(presort_chunk, 2 * static_cast<std::size_t>(k_));
-    if (chunk_ == 2 * static_cast<std::size_t>(k_)) chunk_ = 0;  // one chunk = full sort
+    // A base buffer that fits in one chunk is simply fully sorted (chunk_ 0).
+    if (2 * static_cast<std::size_t>(k_) > kPresortChunk) chunk_ = kPresortChunk;
   }
 
   void update(const T& v) {
@@ -391,6 +389,9 @@ class QuantilesSketch {
   std::uint32_t k_;
   Xoshiro256 rng_;
   Compare cmp_;
+  // Pre-sorted chunk length of a new sketch; deserialize restores the
+  // image's own chunk_, which may be any value <= 2k.
+  static constexpr std::size_t kPresortChunk = 256;
   std::size_t chunk_ = 0;  // pre-sorted chunk length; <= 1 disables
   std::uint64_t n_ = 0;
   std::vector<T> base_;                 // weight-1 items, sorted chunk-wise

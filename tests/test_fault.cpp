@@ -115,10 +115,7 @@ QC_TEST(chaos_matrix_ingest_merge_query_under_faults) {
   InjectorScope scope;
   auto& inj = Injector::instance();
 
-  qc::Options o = small_options(64, 16);
-  o.ibr_epoch_freq = 1;
-  o.ibr_recl_freq = 4;
-  qc::Quancurrent<double> sk(o);
+  qc::Quancurrent<double> sk(small_options(64, 16));
 
   // A runs-only merge source: size is a multiple of 2k, so quiesce leaves an
   // empty tail and every successful merge folds exactly src_size elements.
@@ -476,8 +473,6 @@ QC_TEST(stalled_querier_keeps_retired_memory_under_cap) {
   inj.arm_hit(Point::querier_stall, 1);  // the first refresh parks, pin held
 
   qc::Options o = small_options(64, 16);
-  o.ibr_epoch_freq = 1;
-  o.ibr_recl_freq = 4;
   o.ibr_retire_cap = 64;  // the minimum: degrade as early as possible
   qc::Quancurrent<double> sk(o);
   const std::uint32_t cap = o.ibr_retire_cap;

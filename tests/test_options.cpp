@@ -129,30 +129,6 @@ QC_TEST(install_combine_clamps_into_range) {
   CHECK_EQ(hi.install_combine, 256u);
 }
 
-QC_TEST(ibr_frequencies_clamp_into_range) {
-  // Zero cadences would disable reclamation entirely (never advance the
-  // epoch / never scan); cadences past kMaxIbrFreq are equally pathological
-  // in the other direction.  Both ends clamp and report.
-  qc::core::Options lo;
-  lo.ibr_epoch_freq = 0;
-  lo.ibr_recl_freq = 0;
-  const auto llog = lo.normalize();
-  CHECK_EQ(lo.ibr_epoch_freq, 1u);
-  CHECK_EQ(lo.ibr_recl_freq, 1u);
-  CHECK(adjusted_to(llog, "ibr_epoch_freq", 1));
-  CHECK(adjusted_to(llog, "ibr_recl_freq", 1));
-
-  qc::core::Options hi;
-  hi.ibr_epoch_freq = 0xFFFFFFFFu;
-  hi.ibr_recl_freq = 0xFFFFFFFFu;
-  const auto hlog = hi.normalize();
-  CHECK_EQ(hi.ibr_epoch_freq, qc::core::Options::kMaxIbrFreq);
-  CHECK_EQ(hi.ibr_recl_freq, qc::core::Options::kMaxIbrFreq);
-  CHECK(adjusted_to(hlog, "ibr_epoch_freq", qc::core::Options::kMaxIbrFreq));
-  CHECK(adjusted_to(hlog, "ibr_recl_freq", qc::core::Options::kMaxIbrFreq));
-  CHECK(hi.validate().empty());
-}
-
 QC_TEST(retire_cap_clamps_to_one_drain_group_burst) {
   // 0 means "no cap" and passes through untouched; a nonzero cap below
   // kMinRetireCap could trip on a single drain group's retirement burst and

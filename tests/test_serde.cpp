@@ -177,20 +177,38 @@ QC_TEST(deserialize_diagnoses_byte_swapped_image) {
 QC_TEST(concurrent_roundtrip_preserves_ibr_options) {
   qc::Options o = small_options(64, 8);
   o.serialize_propagation = true;
-  o.ibr_epoch_freq = 7;
-  o.ibr_recl_freq = 9;
   o.ibr_retire_cap = 128;        // serde v3 fields (offsets 43 and 47)
   o.latch_watchdog_ns = 5'000'000;
   qc::Quancurrent<double> sk(o);
   for (int i = 0; i < 1'000; ++i) sk.update(static_cast<double>(i));
   sk.quiesce();
-  auto back = qc::Quancurrent<double>::deserialize(serialize_of(sk));
+  auto blob = serialize_of(sk);
+  auto back = qc::Quancurrent<double>::deserialize(blob);
   CHECK(back != nullptr);
   CHECK(back->options().serialize_propagation);
-  CHECK_EQ(back->options().ibr_epoch_freq, 7u);
-  CHECK_EQ(back->options().ibr_recl_freq, 9u);
   CHECK_EQ(back->options().ibr_retire_cap, 128u);
   CHECK_EQ(back->options().latch_watchdog_ns, std::uint64_t{5'000'000});
+
+  // Offsets 35 and 39 once held the two IBR cadence knobs.  Reclamation now
+  // has a fixed rule, so the fields are written as the old defaults and
+  // ignored on load: any value there, even a 0 the old clamp rejected,
+  // yields the same sketch.
+  const auto u32_at = [&blob](std::size_t off) {
+    std::uint32_t v = 0;
+    std::memcpy(&v, blob.data() + off, sizeof(v));
+    return v;
+  };
+  CHECK_EQ(u32_at(35), 16u);
+  CHECK_EQ(u32_at(39), 64u);
+  const std::uint32_t zero = 0;
+  const std::uint32_t ones = 0xFFFFFFFFu;
+  std::memcpy(blob.data() + 35, &zero, sizeof(zero));
+  std::memcpy(blob.data() + 39, &ones, sizeof(ones));
+  qc::serde::Status st = qc::serde::Status::bad_payload;
+  auto odd = qc::Quancurrent<double>::deserialize(blob, &st);
+  CHECK(st == qc::serde::Status::ok);
+  CHECK(odd != nullptr);
+  CHECK(odd->make_querier().summary() == sk.make_querier().summary());
 }
 
 QC_TEST(deserialize_rejects_unaffordable_preallocation) {
