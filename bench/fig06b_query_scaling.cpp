@@ -3,8 +3,8 @@
 // from up to 32 threads; linear scaling to 30x the sequential sketch.
 //
 // Each Quancurrent query is a snapshot refresh plus a quantile: refresh is
-// the incremental tritmap-diff path (O(1) on a quiesced sketch), quantile a
-// binary search over the frozen prefix-weight summary.  The sequential
+// O(1) on a quiesced sketch, quantile a binary search over the frozen
+// prefix-weight summary.  The sequential
 // baseline answers from the same binary-searched summary representation,
 // queried from one thread.
 //

@@ -1,10 +1,11 @@
 // Micro-benchmarks for the engine's primitives, covering both hot paths.
 //
-// Query side: the full (merge) refresh vs. the incremental (tritmap-diff)
-// one, binary-search quantiles vs. the old linear scan, the summary-free
-// answers a new snapshot's first query takes (selection / per-level search
-// over the runs), and the loser-tree merge vs. the global-sort reference
-// (sort_merge_runs).  These quantify the constants behind fig06b/fig06c.
+// Query side: the full (merge) refresh vs. the incremental one (O(1) when
+// nothing changed), binary-search quantiles vs. the old linear scan, the
+// summary-free answers a new snapshot's first query takes (selection /
+// per-level search over the runs), and the loser-tree merge vs. the
+// global-sort reference (sort_merge_runs).  These quantify the constants
+// behind fig06b/fig06c.
 //
 // Ingest side: the owner's Gather&Sort cost — multiway merge of pre-sorted
 // b-chunks vs. sorting the whole 2k buffer (radix batch_sort and std::sort)

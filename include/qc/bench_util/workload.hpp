@@ -70,10 +70,10 @@ inline constexpr std::uint64_t kLatencySamplePeriod = 64;
 // The query inner loop shared by the query-only and mixed workloads: one
 // refresh + one quantile per query, phi sweeping (0, 1), one timed refresh
 // per kLatencySamplePeriod.  Runs while keep_going(count); returns the query
-// count.  full_refresh = true bypasses the querier's incremental snapshot
-// cache (refresh_full) on every query — the cache-off arm of the
-// abl_structures ablation; queriers without a refresh_full (e.g. the
-// sharded facade's) silently keep the cached path.
+// count.  full_refresh = true calls refresh_full() on every query (every
+// level pointer reloaded, the tail re-copied, the summary built eagerly) —
+// the full arm of the abl_structures ablation; queriers without a
+// refresh_full (e.g. the sharded facade's) silently keep refresh().
 template <typename Querier, typename KeepGoing>
 std::uint64_t query_loop(Querier& querier, std::vector<double>& latency_us,
                          double phi_start, KeepGoing&& keep_going,
@@ -161,7 +161,7 @@ struct MixedResult {
 
 // Runs `upd_threads` updaters pushing all of `updates` while `qry_threads`
 // queriers issue refresh+quantile operations until the updates finish.
-// full_refresh forces the cache-bypassing query path (see query_loop).
+// full_refresh forces refresh_full() on every query (see query_loop).
 template <typename Sketch, typename T = typename Sketch::value_type>
 MixedResult run_mixed(Sketch& sketch, const std::vector<T>& updates,
                       std::uint32_t upd_threads, std::uint32_t qry_threads,

@@ -45,19 +45,19 @@ struct Options {
 
   // Bounded-memory response to stalled readers.  The ladder's k-item level
   // blocks are allocated on demand, and a rewritten slot's displaced block
-  // is RETIRED, not freed: it stays readable until no in-flight query
-  // snapshot can still reference it, and the install-latch holder reclaims
-  // the retired blocks once at the end of every drain group (interval-based
-  // reclamation; see core/quancurrent.hpp).  IBR's conservative free rule
-  // means one parked querier handle (announced epoch never cleared) pins
-  // every later retirement on the retire list indefinitely.  When the list
-  // would exceed this many blocks, the latch holder first forces an extra
-  // scan (ibr_stats().forced_scans); if the scan cannot free below the
-  // cap — a reader really is stalled — the sketch enters DEGRADED
-  // mode (ibr_stats().degraded): ingest throttles at the install latch until
-  // a scan succeeds, so retired memory stays <= cap * k * sizeof(T) instead
-  // of growing without bound.  Queries are unaffected (they never take the
-  // latch).  0 disables the cap (the pre-PR-7 unbounded behavior); nonzero
+  // is RETIRED, not freed: it stays readable until no query snapshot can
+  // still reference it, and the install-latch holder reclaims the retired
+  // blocks once at the end of every drain group (interval-based
+  // reclamation; see core/quancurrent.hpp).  A querier parked mid-refresh
+  // holds a reservation with no upper epoch, which pins every later
+  // retirement indefinitely.  When the retired blocks open reservations
+  // hold (not idle handles' snapshots) would exceed this many, the latch
+  // holder first forces an extra scan (ibr_stats().forced_scans); if the
+  // scan cannot free below the cap — a reader really is stalled — the sketch
+  // enters DEGRADED mode (ibr_stats().degraded): ingest throttles at the
+  // install latch until a scan succeeds, so that memory stays
+  // <= cap * k * sizeof(T) instead of growing without bound.  Queries are
+  // unaffected (they never take the latch).  0 disables the cap; nonzero
   // values are clamped to >= 64 so the cap can never sit below one drain
   // group's worst-case retirement burst.
   std::uint32_t ibr_retire_cap = 4096;

@@ -39,61 +39,84 @@
 // LevelBlock.  A cascade that writes a slot fills a FRESH block (plain
 // stores, invisible until publication), publishes it with one pointer store,
 // and RETIRES the displaced block — published blocks are never mutated, so a
-// querier that reached a block through its pointer can copy it without ever
-// observing a torn run.  Construction allocates no level storage at all:
-// blocks appear as the stream grows (under the install latch, which is the
-// only allocation/retirement site) and disappear through reclamation, so
-// small tenants stay small and quiesce() can hand memory back.
+// querier that reached a block through its pointer can read it in place
+// without ever observing a torn run.  Construction allocates no level
+// storage at all: blocks appear as the stream grows (under the install
+// latch, which is the only allocation/retirement site) and disappear
+// through reclamation, so small tenants stay small and quiesce() can hand
+// memory back.
 //
-// Interval-based reclamation (IBR).  Retired blocks stay readable until no
-// in-flight query snapshot can still reference them.  Queriers are the only
-// code that reads blocks without holding the install latch (updaters,
-// merge_into and serialize read them as, or under, the latch holder, and
-// only the latch holder frees), so only Querier handles announce: a refresh
-// stores the global epoch it entered at in its handle's reservation slot and
-// clears it when done.  A retired block is stamped with the current epoch.
-// The rule has no settings: the latch holder scans once at the end of every
+// Interval-based reclamation (IBR; Wen et al., PPoPP 2018).  Retired blocks
+// stay readable until no query snapshot can still reference them.  Queriers
+// are the only code that reads blocks without holding the install latch
+// (updaters, merge_into and serialize read them as, or under, the latch
+// holder, and only the latch holder frees), so only Querier handles hold
+// reservations.  A block has two stamps of the global epoch: its birth,
+// taken by publish_slot just before the pointer store, and its retirement,
+// taken after it is unpublished and kept, with a copy of the birth, in its
+// retire-list entry, so a scan reads the list and no block.  A handle's
+// reservation is an epoch interval [lo, hi] in its reservation slot, held
+// from one accepted refresh to the next: the snapshot's runs point straight
+// into the blocks, so they must outlive the refresh.  A refresh that loads pointers first
+// widens hi to infinity (and announces lo if the handle holds nothing yet),
+// reads the epoch as the new lo, loads the pointers, reads the epoch again
+// as the new hi, and stores [lo, hi] once the snapshot is installed; a
+// refresh that throws restores its old hi.  An idle querier therefore pins
+// only blocks live at its snapshot, never the stream that follows it.  The
+// rule has no settings: the latch holder scans once at the end of every
 // drain group that left the retire list non-empty (quiesce() and the retire
-// cap scan too), and every scan first advances the epoch (seq_cst), then
-// sweeps the announcements, then frees exactly the retired blocks whose
-// stamp precedes every announced epoch (into a bounded reuse pool first, the
-// allocator after).  Safety: a block with stamp r is freed only when every
-// announced epoch is greater than r.  The advance past r is ordered after
-// the seq_cst store that unpublished the block, so a reader that announces
-// the new epoch loads its pointers after the unpublish and cannot load that
-// block; a reader whose announcement the sweep missed announced after the
-// sweep, later still.  Queriers never block on growth OR reclamation: they
-// announce, load pointer snapshots, copy, and clear — wait-free throughout.
+// cap scan too).  A scan first advances the epoch (seq_cst), then sweeps the
+// reservations, then frees exactly the retired blocks that, for every
+// reservation, retired before its lo or were born after its hi (into a
+// bounded reuse pool first, the allocator after).
+//
+// Why that is safe.  Say a reader's seq_cst load L returns block B and a
+// scan later frees B.  B was on the retire list, so the store that
+// unpublished it precedes the scan's epoch advance, which precedes the
+// scan's reservation loads (all seq_cst, and the latch orders one holder
+// after the last).  (1) The reader's widening store precedes L, and L
+// precedes the unpublish (L read B), so the scan sees the widened interval
+// or a later one.  (2) retire(B) >= lo: the reader read lo before L, and
+// the latch holder stamps retire(B) after the unpublish, having seen every
+// earlier advance; an advance the reader saw but the stamp missed would
+// come from a later scan, which follows the unpublish.  (3) birth(B) <= hi:
+// the advance that produced the birth stamp precedes B's publication,
+// which precedes L, which precedes the read of hi.  So every interval the
+// reader stores from the widening until its next accepted refresh has
+// lo <= retire(B) and hi >= birth(B) (the widened one has hi infinite), and
+// no scan frees B while the snapshot can still use it.  Queriers never
+// block on growth OR reclamation: a refresh is a few stores, the pointer
+// loads and the tail copy — wait-free throughout.
 //
 // Publication protocol.  A single-batch install only writes slots that the
 // currently published tritmap marks empty, then flips the tritmap old -> new
 // with one CAS, so a query that loads the tritmap sees a fully consistent
 // levels description.  Queries re-validate the install sequence number after
-// copying; if an install raced past them they retry, and after a bounded
-// number of attempts they accept the snapshot and report the affected arrays
-// as holes (counted, never crashed on), mirroring the paper's hole analysis
-// (§4.1).  A combined (multi-batch) group may additionally need to republish
-// a slot the published tritmap still marks occupied (a later batch refills a
-// level an earlier batch of the same group consumed); those groups flip
-// install_seq_ odd for the duration of the dangerous publications,
-// seqlock-style, so a querier can never validate a copy window that
-// overlapped them — single-batch groups never enter the odd phase and remain
-// wait-free for queriers, exactly as before.
+// loading their pointers; if an install raced past them they retry, and
+// after a bounded number of attempts they accept the snapshot and report the
+// racing groups as holes (counted, never crashed on), mirroring the paper's
+// hole analysis (§4.1).  A combined (multi-batch) group may additionally
+// need to republish a slot the published tritmap still marks occupied (a
+// later batch refills a level an earlier batch of the same group consumed);
+// those groups flip install_seq_ odd for the duration of the dangerous
+// publications, seqlock-style, so a querier can never validate a snapshot
+// window that overlapped them — single-batch groups never enter the odd
+// phase and remain wait-free for queriers, exactly as before.
 //
 // Query engine.  Every published level slot is a sorted k-run (the KLL
-// compactor invariant), so a snapshot is a set of sorted runs, not a bag of
-// items.  Querier::refresh copies the referenced runs plus the sorted tail;
-// the first query on a new snapshot answers straight from those runs
-// (core/run_merge.hpp: per-run binary searches for rank, multi-run selection
-// for quantile), and a second query multiway-merges them (tournament tree,
-// O(R log L)) into a structure-of-arrays prefix-weight summary that later
-// queries binary-search in O(log R).  refresh() is also incremental: each
-// level carries an install epoch (a counter unique to the last batch cascade
-// that wrote it), and a refresh re-copies only levels whose epoch or trit
-// changed since the querier's previous validated snapshot, reusing every
-// unchanged run and, while the tail version holds, the sorted tail.  A
+// compactor invariant), and published blocks are immutable and reserved
+// (IBR above), so a snapshot is a list of spans straight into the level
+// blocks plus a sorted copy of the tail, the one part that mutates in
+// place: the levels are never copied.  The first query on a new snapshot
+// answers from those runs (core/run_merge.hpp: per-run binary searches for
+// rank, multi-run selection for quantile), and a second query multiway-
+// merges them (tournament tree, O(R log L)) into a structure-of-arrays
+// prefix-weight summary that later queries binary-search in O(log R).  A
 // refresh that finds both the install seq and the tail version unchanged is
-// O(1).
+// O(1) and writes nothing; any other refresh reloads every level pointer
+// (one load per run) and reuses the sorted tail copy while the tail version
+// holds.  install_seq_, not the pointers, detects change, so a pooled block
+// republished at the same address cannot fool it (no ABA).
 //
 // Relaxation.  Elements still in local buffers, partially filled gather
 // buffers, or batches parked in the install queue are invisible to queries —
@@ -124,15 +147,18 @@
 //     retried.  Only ~Updater, which must not throw, drops the residue after
 //     bounded retries (counted in stats().oom_dropped_items, warned on
 //     stderr).
-//   * Querier::refresh may propagate bad_alloc; the handle stays valid and
-//     the previous snapshot stays answerable (a refresh copies into spare
-//     buffers and only flips to them once a snapshot is accepted).
-//   * A stalled reader cannot pin unbounded memory: when the retire list
-//     would exceed Options::ibr_retire_cap, the latch holder forces a scan
-//     and, if the scan cannot help, throttles ingest (ibr_stats().degraded,
-//     forced_scans, throttle_waits) until the reader unpins — retired
-//     memory stays <= cap blocks.  ibr_stats().pinned_epoch_age says how
-//     far the oldest pin lags.
+//   * Querier::refresh may propagate bad_alloc (only the sorted tail copy
+//     allocates); the handle stays valid and the previous snapshot stays
+//     answerable: the tail is copied into a spare buffer, the new level
+//     spans are staged beside the live ones, and the failed refresh
+//     restores its old reservation, so the old blocks stay pinned.
+//   * A stalled reader cannot pin unbounded memory: when the retired blocks
+//     refreshes in flight hold would exceed Options::ibr_retire_cap, the
+//     latch holder forces a scan and, if the scan cannot help, throttles
+//     ingest (ibr_stats().degraded, forced_scans, throttle_waits) until the
+//     reader unpins.  Held snapshots' blocks (a fixed set per idle handle)
+//     do not count, so idle handles never throttle.  pinned_epoch_age is
+//     the oldest refresh in flight's lag (an idle querier reads 0).
 #pragma once
 
 #include <algorithm>
@@ -223,8 +249,8 @@ struct IbrStats {
   std::uint64_t forced_scans = 0;     // extra scans forced by the cap
   std::uint64_t throttle_waits = 0;   // throttle episodes (ingest paused)
   std::uint64_t retire_list_len = 0;  // current retire-list length
-  std::uint64_t pinned_epoch_age = 0;  // epochs the oldest announced pin lags
-                                       // the global epoch (0 = no pin / fresh)
+  std::uint64_t pinned_epoch_age = 0;  // epochs the oldest refresh in flight
+                                       // lags the global epoch (0 = none)
   bool degraded = false;  // cap reached and a scan could not free below it
 
   // Blocks the sketch currently holds (published + retired + reuse pool).
@@ -238,31 +264,52 @@ class Quancurrent {
 
   // ----- IBR plumbing, declared early: the handle classes below embed it --
 
-  static constexpr std::uint64_t kIdleEpoch = ~std::uint64_t{0};
+  // An idle reservation's lo, and the hi of a refresh in flight.
+  static constexpr std::uint64_t kEpochInf = ~std::uint64_t{0};
   static constexpr std::size_t kIbrSlotsPerChunk = 32;
   static constexpr std::size_t kFreeListCap = 64;  // reuse-pool bound
 
   // One published k-item run.  Immutable once its pointer is published; its
-  // retire epoch decides when reclamation may free it.
-  struct LevelBlock {
-    explicit LevelBlock(std::uint32_t k) : items(k) {}
-    std::uint64_t retire_epoch = 0;
-    std::vector<T> items;
+  // birth and retire epochs decide when reclamation may free it.  The k
+  // items follow the header in the same allocation (`new (k) LevelBlock`),
+  // so a refresh turns a block pointer into its run without touching it.
+  struct alignas(std::max(alignof(T), alignof(std::uint64_t))) LevelBlock {
+    static_assert(alignof(T) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__);
+    static void* operator new(std::size_t size, std::uint32_t k) {
+      return ::operator new(size + std::size_t{k} * sizeof(T));
+    }
+    static void operator delete(void* p) { ::operator delete(p); }
+    T* items() { return reinterpret_cast<T*>(this + 1); }
+    const T* items() const { return reinterpret_cast<const T*>(this + 1); }
+    // Stamped by publish_slot; deserialize() places blocks before any
+    // reader exists and leaves 0, which every reservation's hi covers.
+    std::uint64_t birth_epoch = 0;
   };
 
-  // One per-handle epoch announcement slot.  `announced` is the epoch the
-  // handle's current read region entered at (kIdleEpoch when quiescent);
-  // `in_use` is slot ownership, recycled across handle lifetimes.  Every
-  // query stores `announced` twice, so each slot owns a 128-byte-aligned
-  // pair of cache lines: x86 L2 prefetchers fetch lines in such pairs, and
-  // with 64-byte slots concurrent queriers' stores contended (query_idle
-  // ran ~7% fewer queries/s, depending on where the chunk landed).
+  // A retire-list entry: it holds the block's interval, so ibr_scan reads
+  // the list and touches no block.  `hold` is scan scratch (kHeld* bits).
+  struct RetiredBlock {
+    LevelBlock* block;
+    std::uint64_t birth, retire;
+    std::uint8_t hold;
+  };
+  static constexpr std::uint8_t kHeldClosed = 1;  // by a held snapshot
+  static constexpr std::uint8_t kHeldOpen = 2;    // by a refresh in flight
+
+  // One per-handle reservation slot: the epoch interval [lo, hi] whose
+  // blocks the handle's snapshot may point into (lo == kEpochInf when it
+  // holds nothing); `in_use` is slot ownership, recycled across handle
+  // lifetimes.  Each slot owns a 128-byte-aligned pair of cache lines: x86
+  // L2 prefetchers fetch lines in such pairs, and with 64-byte slots
+  // concurrent queriers' stores contended (query_idle ran ~7% fewer
+  // queries/s, depending on where the chunk landed).
   struct IbrSlot {
-    alignas(128) std::atomic<std::uint64_t> announced{kIdleEpoch};
+    alignas(128) std::atomic<std::uint64_t> lo{kEpochInf};
+    std::atomic<std::uint64_t> hi{kEpochInf};
     std::atomic<bool> in_use{false};
   };
 
-  // Announcement slots live in a lock-free grow-only chunk list, allocated
+  // Reservation slots live in a lock-free grow-only chunk list, allocated
   // lazily (a sketch nobody made handles for pays nothing) and recycled via
   // in_use, so handle churn does not grow the list without bound.
   struct IbrSlotChunk {
@@ -270,7 +317,7 @@ class Quancurrent {
     std::atomic<IbrSlotChunk*> next{nullptr};
   };
 
-  // RAII ownership of one announcement slot for a Querier's lifetime.
+  // RAII ownership of one reservation slot for a Querier's lifetime.
   class IbrSlotLease {
    public:
     explicit IbrSlotLease(Quancurrent& sketch) : slot_(sketch.acquire_ibr_slot()) {}
@@ -281,7 +328,8 @@ class Quancurrent {
     IbrSlotLease& operator=(IbrSlotLease&&) = delete;
     ~IbrSlotLease() {
       if (slot_ != nullptr) {
-        slot_->announced.store(kIdleEpoch, std::memory_order_seq_cst);
+        slot_->lo.store(kEpochInf, std::memory_order_seq_cst);
+        slot_->hi.store(kEpochInf, std::memory_order_seq_cst);
         slot_->in_use.store(false, std::memory_order_release);
       }
     }
@@ -289,26 +337,6 @@ class Quancurrent {
 
    private:
     IbrSlot* slot_ = nullptr;
-  };
-
-  // Scoped epoch announcement: pins the reclamation epoch for one read
-  // region (a query snapshot).  Two stores; never blocks.
-  class IbrPin {
-   public:
-    IbrPin(Quancurrent& sketch, IbrSlot* slot) : slot_(slot) {
-      // seq_cst load + store: the announcement must precede this handle's
-      // subsequent slot-pointer loads in the single total order — that
-      // ordering is what lets the reclaimer's scan prove the handle visible
-      // (see the IBR section of the file comment).
-      slot_->announced.store(sketch.ibr_epoch_.load(std::memory_order_seq_cst),
-                             std::memory_order_seq_cst);
-    }
-    IbrPin(const IbrPin&) = delete;
-    IbrPin& operator=(const IbrPin&) = delete;
-    ~IbrPin() { slot_->announced.store(kIdleEpoch, std::memory_order_seq_cst); }
-
-   private:
-    IbrSlot* slot_;
   };
 
  public:
@@ -348,17 +376,17 @@ class Quancurrent {
   Quancurrent(const Quancurrent&) = delete;
   Quancurrent& operator=(const Quancurrent&) = delete;
 
-  // Every block (published, retired, or pooled) and every announcement chunk
+  // Every block (published, retired, or pooled) and every reservation chunk
   // is owned by the sketch.  The convenience handles are torn down FIRST:
-  // the updater drains into the tail and the querier releases an
-  // announcement slot that lives inside the chunks deleted below.  External
+  // the updater drains into the tail and the querier releases a
+  // reservation slot that lives inside the chunks deleted below.  External
   // handles must not outlive the sketch (they hold a raw back-pointer
   // already).
   ~Quancurrent() {
     self_querier_.reset();
     self_updater_.reset();
     for (auto& ref : slot_blocks_) delete ref.load(std::memory_order_relaxed);
-    for (LevelBlock* b : retired_) delete b;
+    for (const RetiredBlock& r : retired_) delete r.block;
     for (LevelBlock* b : free_blocks_) delete b;
     for (LevelBlock* b : stash_) delete b;  // nonempty only after a mid-drain throw
     IbrSlotChunk* c = ibr_chunks_.load(std::memory_order_relaxed);
@@ -539,7 +567,7 @@ class Quancurrent {
     }
     // Give memory back.  Unpublish every slot the published tritmap no
     // longer references (cascades leave consumed slots published so lagging
-    // queriers can still copy them; quiesce is where they are let go), then
+    // queriers can still read them; quiesce is where they are let go), then
     // scan, then return the reuse pool to the allocator.  Afterwards — with
     // no reader mid-snapshot — ibr_stats().live_blocks() equals the number
     // of tritmap-referenced runs exactly (the eventual-reclamation test's
@@ -630,13 +658,21 @@ class Quancurrent {
     s.throttle_waits = ibr_throttle_waits_.load(std::memory_order_relaxed);
     s.retire_list_len = retire_list_len_.load(std::memory_order_relaxed);
     s.degraded = degraded_.load(std::memory_order_relaxed);
-    // Stalled-handle detection: a healthy pin lags the global epoch by at
-    // most a drain group or two; an age that keeps growing names the
-    // failure (a parked handle) rather than its symptom (a long retire
-    // list).  The announcement sweep is O(handles) — diagnostic-path cost.
-    const std::uint64_t min_e = min_announced_epoch();
+    // Stalled-handle detection: a refresh in flight (hi still open) lags
+    // the global epoch by at most a drain group or two; an age that keeps
+    // growing names the failure (a parked handle) rather than its symptom
+    // (a long retire list).  A held snapshot is not in flight, so an idle
+    // querier reads 0.  The sweep is O(handles) — diagnostic-path cost.
+    std::uint64_t min_lo = kEpochInf;
+    for (IbrSlotChunk* c = ibr_chunks_.load(std::memory_order_acquire); c != nullptr;
+         c = c->next.load(std::memory_order_acquire)) {
+      for (const IbrSlot& slot : c->slots) {
+        if (slot.hi.load(std::memory_order_relaxed) != kEpochInf) continue;
+        min_lo = std::min(min_lo, slot.lo.load(std::memory_order_relaxed));
+      }
+    }
     const std::uint64_t cur = ibr_epoch_.load(std::memory_order_relaxed);
-    s.pinned_epoch_age = (min_e == kIdleEpoch || min_e >= cur) ? 0 : cur - min_e;
+    s.pinned_epoch_age = min_lo >= cur ? 0 : cur - min_lo;
     return s;
   }
 
@@ -727,34 +763,33 @@ class Quancurrent {
 
   // ----- queries -----------------------------------------------------------
 
-  // Point-in-time view of the sketch.  refresh() snapshots the tritmap and
-  // copies (or reuses) the referenced level runs plus the sorted tail;
-  // quantile/rank/cdf/size then answer from those frozen sorted runs without
-  // touching shared state.  The first query on a new snapshot answers
-  // straight from the runs (rank: one binary search per run; quantile: a
-  // multi-run selection), so a querier racing live ingest, which sees a new
-  // snapshot on nearly every refresh, never pays a full merge.  The second
-  // query on the same snapshot builds the merged prefix-weight summary, and
-  // every later one is an O(log R) binary search over it (RunSnapshot,
-  // core/run_merge.hpp).  Both paths give identical answers (tested).  A
-  // handle is not thread-safe: one per thread.
+  // Point-in-time view of the sketch.  refresh() snapshots the tritmap, the
+  // referenced level blocks — by pointer, kept readable by the handle's IBR
+  // reservation until its next accepted refresh — and a sorted copy of the
+  // tail; quantile/rank/cdf/size then answer from those frozen sorted runs
+  // without touching shared state.  The first query on a new snapshot
+  // answers straight from the runs (rank: one binary search per run;
+  // quantile: a multi-run selection), so a querier racing live ingest,
+  // which sees a new snapshot on nearly every refresh, never pays a full
+  // merge.  The second query on the same snapshot builds the merged
+  // prefix-weight summary, and every later one is an O(log R) binary search
+  // over it (RunSnapshot, core/run_merge.hpp).  Both paths give identical
+  // answers (tested).  A handle is not thread-safe: one per thread.
   class Querier {
    public:
-    explicit Querier(Quancurrent& sketch)
-        : sketch_(&sketch), lease_(sketch), cache_(kLevels) {
-      snap_.reserve(2 * static_cast<std::size_t>(kLevels) + 1);
+    explicit Querier(Quancurrent& sketch) : sketch_(&sketch), lease_(sketch) {
+      snap_.reserve(kMaxLevelRuns + 1);
       refresh();
     }
 
-    // Incremental refresh: reuses level runs cached by earlier refreshes
-    // when the level's install epoch and trit are unchanged, and the sorted
-    // tail copy while the tail version is; O(1) when nothing was published
-    // and the tail did not change.
+    // O(1), writing nothing, when nothing was published and the tail did
+    // not change; otherwise reloads every level pointer, and reuses the
+    // sorted tail copy while the tail version holds.
     void refresh() { refresh_impl(/*force_full=*/false); }
 
-    // Ignores every cached copy, re-copies the whole snapshot and builds its
-    // summary eagerly — the cache-off baseline.  The summary is identical to
-    // the one refresh() leads to (tested), just slower to reach.
+    // Reloads every level pointer and re-copies the tail even when nothing
+    // changed, and builds the summary eagerly.  The summary is identical to
+    // the one refresh() leads to (tested), just reached eagerly.
     void refresh_full() {
       refresh_impl(/*force_full=*/true);
       snap_.summary();  // every refresh_impl(true) installs a new snapshot
@@ -773,8 +808,9 @@ class Quancurrent {
     // refresh_full().
     std::uint64_t summary_builds() const { return snap_.summary_builds(); }
 
-    // The current snapshot as sorted weighted runs: level slots ascending,
-    // then the tail.  The direct answers and the summary both read these.
+    // The current snapshot as sorted weighted runs: level slots ascending
+    // (spans into the reserved level blocks), then the tail copy.  The
+    // direct answers and the summary both read these.
     std::span<const RunRef<T>> runs() const { return snap_.runs(); }
 
     // The value-sorted summary of the current snapshot, built on first use.
@@ -787,20 +823,7 @@ class Quancurrent {
    private:
     static constexpr std::uint32_t kSnapshotRetries = 8;
     static constexpr std::uint64_t kNever = ~std::uint64_t{0};
-
-    // Private copy of one level's occupied slots, tagged with the install
-    // epoch the copy reflects.  Valid for reuse while the level's published
-    // epoch and trit both still match: slot contents change only through
-    // installs, and every batch cascade that writes a level stores a fresh
-    // epoch (unique per batch, not per publish group, so two writes of the
-    // same level within one combined group are distinguishable).
-    struct RunCopy {
-      std::uint64_t epoch = kNever;
-      std::uint32_t trit = 0;    // trit the copy was made under
-      std::uint32_t copied = 0;  // runs actually copied (< trit on a racing
-                                 // shrink: the snapshot then fails validation)
-      std::vector<T> runs;       // copied sorted k-runs, slot-major
-    };
+    static constexpr std::size_t kMaxLevelRuns = 2 * std::size_t{Tritmap::kMaxLevels};
 
     // Sorted copy of the tail, tagged with the tail version it reflects.
     struct TailCopy {
@@ -808,57 +831,70 @@ class Quancurrent {
       std::vector<T> items;
     };
 
-    // Two copies of one snapshot part: `live`, which the current snapshot
-    // answers from, and a spare that refreshes copy into.  A refresh that
-    // throws or fails validation therefore never overwrites what the
-    // current answers read; accepting a snapshot flips `live` to `pick`.
-    template <typename Copy>
-    struct DoubleCopy {
-      std::array<Copy, 2> copy;
-      std::uint8_t live = 0;
-      std::uint8_t pick = 0;  // the copy the snapshot being collected uses
-    };
-    template <typename Copy>
-    static std::uint8_t spare(const DoubleCopy<Copy>& d) {
-      return static_cast<std::uint8_t>(d.live ^ 1);
-    }
-
-    // May propagate bad_alloc (snapshot copy growth): the handle stays
-    // valid, the previous snapshot stays answerable (refreshes only write
-    // spare copies), and the pin clears on unwind (RAII) so a failed refresh
-    // can never stall reclamation.
+    // May propagate bad_alloc (the tail copy's growth): the handle stays
+    // valid and the previous snapshot stays answerable, because the tail is
+    // copied into the spare, the level spans are staged in pending_, and
+    // the reservation falls back to the one covering the live snapshot.
     void refresh_impl(bool force_full) {
       auto& s = *sketch_;
-      // Pin the reclamation epoch across every snapshot attempt: the
-      // slot-block pointers collect_levels loads below stay dereferenceable
-      // until the pin clears (IBR, file comment).  Two stores — the query
-      // path never blocks on growth or reclamation.
-      const IbrPin pin(s, lease_.slot());
-      // Chaos builds: park the reader HERE, pin held — the stalled-querier
-      // scenario the retire cap (Options::ibr_retire_cap) exists for.
-      QC_INJECT_STALL(querier_stall);
+      if (!force_full && s.install_seq_.load(std::memory_order_acquire) == snap_seq_ &&
+          s.tail_version_.load(std::memory_order_acquire) == snap_tail_ver_) {
+        // Nothing published and no tail churn since the last validated
+        // snapshot: it is still current, and its reservation still holds.
+        return;
+      }
+      // Widen the reservation before loading any pointer (IBR, file
+      // comment): hi opens, so every block published from here on stays
+      // readable, while lo keeps covering the live snapshot — or, for a
+      // handle that holds nothing yet, is announced now.
+      IbrSlot& slot = *lease_.slot();
+      const std::uint64_t lo = s.ibr_epoch_.load(std::memory_order_seq_cst);
+      if (pin_lo_ == kEpochInf) {
+        slot.lo.store(lo, std::memory_order_seq_cst);
+      } else {
+        slot.hi.store(kEpochInf, std::memory_order_seq_cst);
+      }
+      try {
+        collect(force_full);
+      } catch (...) {
+        if (pin_lo_ == kEpochInf) {
+          slot.lo.store(kEpochInf, std::memory_order_seq_cst);
+        } else {
+          slot.hi.store(pin_hi_, std::memory_order_seq_cst);
+        }
+        throw;
+      }
+      // The new snapshot is installed.  Its blocks were born by the epoch
+      // read now and retired no earlier than lo, so [lo, hi] keeps them and
+      // releases the previous snapshot's.  Narrowing needs no seq_cst: a
+      // scan that still reads the widened interval only keeps more, and a
+      // release store keeps this handle's reads of the old snapshot before
+      // the blocks are let go.
+      const std::uint64_t hi = s.ibr_epoch_.load(std::memory_order_seq_cst);
+      slot.lo.store(lo, std::memory_order_release);
+      slot.hi.store(hi, std::memory_order_release);
+      pin_lo_ = lo;
+      pin_hi_ = hi;
+    }
+
+    // The snapshot retry loop.  Validation uses the install sequence
+    // number, not tritmap equality: the tritmap word can return to a
+    // previous value (ABA) after several installs, but install_seq_ is
+    // monotonic, so seq-stable implies no install group published while
+    // the pointers were loaded.  Single-batch groups only write slots their
+    // pre-publish tritmap marks empty, so every pointer loaded under a
+    // stable seq is the one the tritmap describes; multi-batch groups that
+    // must rewrite a published-occupied slot hold install_seq_ ODD for the
+    // duration (seqlock), so a window overlapping such writes can never
+    // validate: it either starts on an odd seq (rejected here) or spans the
+    // even->odd flip (rejected by the re-check below).
+    void collect(bool force_full) {
+      auto& s = *sketch_;
       holes_ = 0;
       Backoff backoff;
       for (std::uint32_t attempt = 0;; ++attempt) {
-        // Snapshot validation uses the install sequence number, not tritmap
-        // equality: the tritmap word can return to a previous value (ABA)
-        // after several installs, but install_seq_ is monotonic, so
-        // seq-stable implies no install group published during the copy.
-        // Single-batch groups only write slots their pre-publish tritmap
-        // marks empty, so every run copied under a stable seq was stable;
-        // multi-batch groups that must rewrite a published-occupied slot
-        // hold install_seq_ ODD for the duration (seqlock), so a copy window
-        // overlapping such writes can never validate: it either starts on an
-        // odd seq (rejected here) or spans the even->odd flip (rejected by
-        // the re-check below).
         const std::uint64_t seq = s.install_seq_.load(std::memory_order_acquire);
         const bool unstable = (seq & 1) != 0;
-        if (!force_full && !unstable && seq == snap_seq_ &&
-            s.tail_version_.load(std::memory_order_acquire) == snap_tail_ver_) {
-          // Nothing published and no tail churn since the last validated
-          // snapshot: the current snapshot is still valid.
-          return;
-        }
         const bool last_attempt = attempt + 1 == kSnapshotRetries;
         if (unstable && !last_attempt) {
           if (s.opts_.collect_stats) {
@@ -873,45 +909,33 @@ class Quancurrent {
         // (wrong answer), never an out-of-bounds slot; QC_CHECK here would
         // tax every snapshot attempt.
         assert(tm.trit(0) == 0);  // published tritmaps always have level 0 drained
-        collect_levels(tm, force_full);
+        collect_levels(tm);
+        // Chaos builds: park the reader HERE, pointers loaded and the
+        // reservation open — the stalled-querier scenario the retire cap
+        // (Options::ibr_retire_cap) exists for, and the window tests publish
+        // into to drive a refresh down the hole path.
+        QC_INJECT_STALL(querier_stall);
         const std::uint64_t tail_ver = copy_tail(force_full);
-        // The copy loads above are acquire, so this re-check load cannot be
-        // reordered before them, and a copy that observed a dangerous write
-        // synchronizes with the installer's odd flip (see collect_levels) —
-        // it cannot re-read the pre-flip (even) seq here.
+        // The pointer loads are seq_cst and the tail lock acquires, so this
+        // re-check cannot move before them, and a load that returned a
+        // dangerously republished pointer synchronizes with the installer's
+        // odd flip (see collect_levels): it cannot re-read the even seq.
         const std::uint64_t check = s.install_seq_.load(std::memory_order_acquire);
-        if (!unstable && check == seq) {
-          snap_seq_ = seq;
-          snap_tail_ver_ = tail_ver;
-          install_snapshot(tm);
-          return;
-        }
-        if (last_attempt) {
-          // Accept the snapshot; each racing install group may have recycled
-          // arrays under our copy.  Count the groups as holes, as the paper
-          // does.  Sort every run this refresh copied, since a torn copy may
-          // not be sorted and both the direct answers and the merge need
-          // sorted runs, and poison the cache so the next refresh re-copies.
-          holes_ = std::max<std::uint64_t>(1, (check - seq) / 2);
-          if (s.opts_.collect_stats) {
-            s.stat_holes_.fetch_add(holes_, std::memory_order_relaxed);
-          }
-          const std::size_t k = s.opts_.k;
-          for (std::uint32_t level = 1; level < tm.num_levels(); ++level) {
-            auto& c = cache_[level];
-            if (c.pick == c.live) continue;  // validated by an earlier refresh
-            std::vector<T>& r = c.copy[c.pick].runs;
-            for (std::size_t off = 0; off < r.size(); off += k) {
-              std::sort(r.begin() + static_cast<std::ptrdiff_t>(off),
-                        r.begin() + static_cast<std::ptrdiff_t>(off + k), s.cmp_);
+        const bool valid = !unstable && check == seq;
+        if (valid || last_attempt) {
+          if (!valid) {
+            // Accept the snapshot and count each racing install group as a
+            // hole, as the paper does.  Every run is still one whole
+            // immutable block, so still sorted; it may just belong to a
+            // neighbouring tritmap.  The next refresh collects anew.
+            holes_ = std::max<std::uint64_t>(1, (check - seq) / 2);
+            if (s.opts_.collect_stats) {
+              s.stat_holes_.fetch_add(holes_, std::memory_order_relaxed);
             }
           }
-          install_snapshot(tm);
-          for (auto& c : cache_) {
-            for (auto& r : c.copy) r.epoch = kNever;
-          }
-          snap_seq_ = kNever;
-          snap_tail_ver_ = kNever;
+          install_snapshot();
+          snap_seq_ = valid ? seq : kNever;
+          snap_tail_ver_ = tail_ver;
           return;
         }
         if (s.opts_.collect_stats) {
@@ -920,57 +944,25 @@ class Quancurrent {
       }
     }
 
-    // Picks, for every level the tritmap references, a copy of its occupied
-    // slots: the live copy or the spare when either is still current, else
-    // a fresh copy into the spare.  The epoch is loaded (acquire) before the
-    // pointer loads: a batch cascade publishes a level's epoch with a release
-    // store *after* publishing its block, so a copy tagged with epoch E
-    // always reflects the epoch-E publication whenever E is still the
-    // level's published epoch.  (A later cascade republishing the level
-    // while we copy leaves our copy tagged with the OLD epoch and stores a
-    // new one, so the level is re-copied.)
-    void collect_levels(Tritmap tm, bool force_full) {
+    // Stages a span into every block the tritmap references, level slots
+    // ascending.  The seq_cst pointer loads follow the reservation's
+    // widening in the single total order, which is what keeps each block
+    // readable for as long as the snapshot is live (IBR, file comment).  If
+    // a slot was dangerously republished, loading the NEW pointer makes the
+    // installer's preceding odd seq flip visible to collect's re-check
+    // (seq_cst store/load pair), which rejects the snapshot; loading the OLD
+    // pointer yields the run the tritmap describes.
+    void collect_levels(Tritmap tm) {
       auto& s = *sketch_;
       const std::uint32_t k = s.opts_.k;
+      pending_runs_ = 0;
       for (std::uint32_t level = 1; level < tm.num_levels(); ++level) {
-        auto& c = cache_[level];
-        const std::uint64_t epoch =
-            s.level_epoch_[level].load(std::memory_order_acquire);
-        const std::uint32_t trit = tm.trit(level);
-        const auto current = [&](const RunCopy& r) {
-          return !force_full && r.epoch == epoch && r.trit == trit && r.copied == trit;
-        };
-        c.pick = current(c.copy[c.live]) ? c.live : spare(c);
-        RunCopy& dst = c.copy[c.pick];
-        if (current(dst)) continue;
-        // A bad_alloc on this growth leaves the spare untagged and every
-        // live copy untouched, so refresh can simply be retried.
-        dst.epoch = kNever;
-        QC_INJECT_OOM(querier_copy_alloc);
-        dst.runs.resize(static_cast<std::size_t>(trit) * k);
-        std::uint32_t copied = 0;
-        for (std::uint32_t slot = 0; slot < trit; ++slot) {
-          // seq_cst pointer load: in the single total order it follows this
-          // handle's epoch announcement, which is what lets the reclaimer's
-          // scan prove the block cannot be freed under us (IBR, file
-          // comment).  Published blocks are immutable, so the memcpy can
-          // never tear.  If the slot was dangerously republished, loading
-          // the NEW pointer makes the installer's preceding odd seq flip
-          // visible to refresh_impl's re-check (seq_cst store/load pair),
-          // which rejects the snapshot; loading the OLD pointer yields
-          // content consistent with the tritmap we validated against.
+        for (std::uint32_t slot = 0; slot < tm.trit(level); ++slot) {
           const LevelBlock* blk =
               s.slot_block(level, slot).load(std::memory_order_seq_cst);
-          if (blk == nullptr) break;  // racing unpublish: this snapshot
-                                      // cannot validate, stop copying
-          std::memcpy(dst.runs.data() + static_cast<std::size_t>(slot) * k,
-                      blk->items.data(), k * sizeof(T));
-          ++copied;
+          if (blk == nullptr) break;  // racing unpublish: cannot validate
+          pending_[pending_runs_++] = {blk->items(), k, std::uint64_t{1} << level};
         }
-        dst.runs.resize(static_cast<std::size_t>(copied) * k);
-        dst.epoch = epoch;
-        dst.trit = trit;
-        dst.copied = copied;
       }
     }
 
@@ -984,19 +976,20 @@ class Quancurrent {
     // batches.
     std::uint64_t copy_tail(bool force_full) {
       auto& s = *sketch_;
+      const auto spare = static_cast<std::uint8_t>(tail_live_ ^ 1);
       std::uint64_t ver = 0;
       TailCopy* dst = nullptr;
       {
         const sync::MutexLock lock(s.tail_mu_);
         ver = s.tail_version_.load(std::memory_order_relaxed);
-        for (const std::uint8_t i : {sorted_tail_.live, spare(sorted_tail_)}) {
-          if (!force_full && sorted_tail_.copy[i].version == ver) {
-            sorted_tail_.pick = i;
+        for (const std::uint8_t i : {tail_live_, spare}) {
+          if (!force_full && tails_[i].version == ver) {
+            tail_pick_ = i;
             return ver;
           }
         }
-        sorted_tail_.pick = spare(sorted_tail_);
-        dst = &sorted_tail_.copy[sorted_tail_.pick];
+        tail_pick_ = spare;
+        dst = &tails_[spare];
         dst->version = kNever;
         const std::size_t n = s.tail_.size();
         QC_INJECT_OOM(querier_copy_alloc);
@@ -1008,43 +1001,43 @@ class Quancurrent {
       return ver;
     }
 
-    // Makes the collected snapshot current: flips every part to the copy it
-    // picked and lays out the run list (level slots ascending, then the
-    // tail) that the answers and the summary read.  The run order is
-    // deterministic, and the merge breaks ties by run index, so incremental
-    // and full refreshes of the same snapshot produce identical summaries.
-    // No-throw: snap_ was reserved for the deepest ladder.
-    void install_snapshot(Tritmap tm) {
-      const std::uint32_t k = sketch_->opts_.k;
+    // Makes the collected snapshot current: the staged level spans, then
+    // the tail copy picked for it.  The run order is deterministic, and the
+    // merge breaks ties by run index, so incremental and full refreshes of
+    // the same snapshot produce identical summaries.  No-throw: snap_ was
+    // reserved for the deepest ladder.
+    void install_snapshot() {
       snap_.clear();
-      for (std::uint32_t level = 1; level < tm.num_levels(); ++level) {
-        auto& c = cache_[level];
-        c.live = c.pick;
-        const RunCopy& r = c.copy[c.live];
-        const std::uint32_t trit = std::min(r.copied, tm.trit(level));
-        for (std::uint32_t slot = 0; slot < trit; ++slot) {
-          snap_.push({r.runs.data() + static_cast<std::size_t>(slot) * k, k,
-                      1ULL << level});
-        }
-      }
-      sorted_tail_.live = sorted_tail_.pick;
-      const std::vector<T>& tail = sorted_tail_.copy[sorted_tail_.live].items;
+      for (std::size_t i = 0; i < pending_runs_; ++i) snap_.push(pending_[i]);
+      tail_live_ = tail_pick_;
+      const std::vector<T>& tail = tails_[tail_live_].items;
       if (!tail.empty()) snap_.push({tail.data(), tail.size(), 1});
       snap_.publish();
       ++version_;
     }
 
     Quancurrent* sketch_;
-    IbrSlotLease lease_;  // this handle's epoch announcement slot
-    std::vector<DoubleCopy<RunCopy>> cache_;
-    DoubleCopy<TailCopy> sorted_tail_;
+    IbrSlotLease lease_;  // this handle's reservation slot
     std::uint64_t snap_seq_ = kNever;
     std::uint64_t snap_tail_ver_ = kNever;
+    // The reservation this handle last stored, which covers the live
+    // snapshot's blocks (pin_lo_ == kEpochInf before the first snapshot).
+    std::uint64_t pin_lo_ = kEpochInf;
+    std::uint64_t pin_hi_ = kEpochInf;
     std::uint64_t holes_ = 0;
     std::uint64_t version_ = 0;
-    // Last, after the fields refresh() reads on every call: with snap_ in
-    // between, query_idle measured ~7% fewer queries per second.
+    // The live and the spare sorted tail copy: a refresh copies into the
+    // spare, so one that throws or retries never overwrites what the
+    // current answers read.
+    std::array<TailCopy, 2> tails_;
+    std::uint8_t tail_live_ = 0;
+    std::uint8_t tail_pick_ = 0;  // the copy the snapshot being collected uses
+    // After the fields refresh() reads on every call: with snap_ in between,
+    // query_idle measured ~7% fewer queries per second.
     RunSnapshot<T, Compare> snap_;  // the current snapshot
+    // The level spans of the snapshot being collected.
+    std::array<RunRef<T>, kMaxLevelRuns> pending_{};
+    std::size_t pending_runs_ = 0;
   };
 
   Querier make_querier() { return Querier(*this); }
@@ -1252,8 +1245,8 @@ class Quancurrent {
       QC_INJECT_OOM(deserialize_alloc);
       sk = std::make_unique<Quancurrent>(o);
       {
-        // The sketch is private to this frame, but alloc_block / rng_ /
-        // epoch_counter_ are latch-guarded state and the thread-safety
+        // The sketch is private to this frame, but alloc_block and rng_
+        // are latch-guarded state and the thread-safety
         // analysis (rightly) has no notion of "not published yet" — hold the
         // uncontended latch so the rebuild obeys the same discipline the
         // live paths are checked against.
@@ -1266,7 +1259,7 @@ class Quancurrent {
             // Store before reading the payload: on any failure below the
             // sketch's destructor owns the block.
             sk->slot_block(level, slot).store(blk, std::memory_order_relaxed);
-            if (!r.get_bytes(blk->items.data(), sk->opts_.k * sizeof(T))) {
+            if (!r.get_bytes(blk->items(), sk->opts_.k * sizeof(T))) {
               serde::set_status(status, serde::Status::short_buffer);
               return nullptr;
             }
@@ -1275,14 +1268,10 @@ class Quancurrent {
             // this sketch is later merged).  A crafted unsorted run is as
             // malformed as a bad trit — reject it here, where the bytes are
             // already cache-hot, instead of serving garbage quantiles.
-            if (!std::is_sorted(blk->items.begin(), blk->items.end(), sk->cmp_)) {
+            if (!std::is_sorted(blk->items(), blk->items() + sk->opts_.k, sk->cmp_)) {
               serde::set_status(status, serde::Status::bad_payload);
               return nullptr;
             }
-          }
-          if (tm.trit(level) != 0) {
-            sk->level_epoch_[level].store(++sk->epoch_counter_,
-                                          std::memory_order_relaxed);
           }
         }
       }
@@ -1380,18 +1369,18 @@ class Quancurrent {
 
   // Writer-side view of a published slot's items; callers hold latch_, so
   // the block cannot be retired (let alone reclaimed) underneath them.
-  // Queriers never use this — they take epoch-protected slot_block()
+  // Queriers never use this — they take reservation-protected slot_block()
   // pointer snapshots instead.
   T* slot_ptr(std::uint32_t level, std::uint32_t slot) QC_REQUIRES(latch_) {
     LevelBlock* b = slot_block(level, slot).load(std::memory_order_relaxed);
     QC_CHECK(b != nullptr, "dereferencing an unpublished level slot");
-    return b->items.data();
+    return b->items();
   }
 
   const T* slot_ptr(std::uint32_t level, std::uint32_t slot) const QC_REQUIRES(latch_) {
     const LevelBlock* b = slot_block(level, slot).load(std::memory_order_relaxed);
     QC_CHECK(b != nullptr, "dereferencing an unpublished level slot");
-    return b->items.data();
+    return b->items();
   }
 
   // ----- install latch: timed, watchdogged acquisition ----------------------
@@ -1464,21 +1453,23 @@ class Quancurrent {
       // qc-lint-allow(no-alloc-under-latch): THE staging allocation site —
       // only reachable via prepare_cascade/deserialize, where a bad_alloc is
       // handled before anything is published (two-phase cascade contract).
-      b = new LevelBlock(opts_.k);
+      b = new (opts_.k) LevelBlock;
       ibr_allocated_.fetch_add(1, std::memory_order_relaxed);
     }
     return b;
   }
 
-  // Publishes a fully written block at (level, slot) and retires the block
-  // it displaces.  The seq_cst store participates in the reclamation-safety
-  // total order: a querier that announced its epoch before loading this
-  // pointer is guaranteed visible to any scan that could free the displaced
-  // block (file comment, IBR).
+  // Publishes a fully written block at (level, slot), stamped with its
+  // birth epoch, and retires the block it displaces.  The seq_cst store
+  // participates in the reclamation-safety total order: a querier that
+  // widened its reservation before loading this pointer is guaranteed
+  // visible to any scan that could free the displaced block (file comment,
+  // IBR).  Only the latch holder advances the epoch, so the stamp is exact.
   void publish_slot(std::uint32_t level, std::uint32_t slot, LevelBlock* nb)
       QC_REQUIRES(latch_) {
     auto& ref = slot_block(level, slot);
     LevelBlock* old = ref.load(std::memory_order_relaxed);
+    nb->birth_epoch = ibr_epoch_.load(std::memory_order_relaxed);
     ref.store(nb, std::memory_order_seq_cst);
     if (old != nullptr) retire_block(old);
   }
@@ -1487,10 +1478,10 @@ class Quancurrent {
   // epoch.  No scan here: drain_group (and quiesce) scan once after the
   // group's retirements, which advances the epoch past this stamp.
   void retire_block(LevelBlock* b) QC_REQUIRES(latch_) {
-    b->retire_epoch = ibr_epoch_.load(std::memory_order_relaxed);
     // qc-lint-allow(no-alloc-under-latch): no-throw in practice — capacity is
     // pre-reserved by prepare_cascade / quiesce before any retirement burst.
-    retired_.push_back(b);
+    retired_.push_back({b, b->birth_epoch, ibr_epoch_.load(std::memory_order_relaxed), 0});
+    ++retired_capped_;  // unscanned: counts against the cap until a scan
     ibr_retired_.fetch_add(1, std::memory_order_relaxed);
     retire_list_len_.store(retired_.size(), std::memory_order_relaxed);
     if (retired_.size() > ibr_peak_unreclaimed_.load(std::memory_order_relaxed)) {
@@ -1498,54 +1489,49 @@ class Quancurrent {
     }
   }
 
-  // The oldest epoch any handle currently announces (kIdleEpoch when all
-  // are idle).  The announcement loads are seq_cst, like the announce
-  // stores and the caller's unpublishing pointer stores: in the seq_cst
-  // total order every reader either announced before this sweep reads its
-  // slot (the sweep sees the announcement) or announced after the unpublish
-  // (its subsequent seq_cst pointer load cannot return the retired block) —
-  // exactly the dichotomy the free rule in ibr_scan needs.  (A seq_cst
-  // fence + relaxed loads would do the same, but GCC's -Wtsan rejects
-  // fences under -fsanitize=thread, and a scan runs at most once per drain
-  // group, next to that group's k-item cascade copies.)
-  // No latch requirement: reads only atomics (ibr_stats() sweeps it lock-free
-  // too); the free rule in ibr_scan is what needs the latch, not this sweep.
-  std::uint64_t min_announced_epoch() const {
-    std::uint64_t min_e = kIdleEpoch;
-    for (IbrSlotChunk* c = ibr_chunks_.load(std::memory_order_acquire);
-         c != nullptr; c = c->next.load(std::memory_order_acquire)) {
-      for (const IbrSlot& s : c->slots) {
-        const std::uint64_t e = s.announced.load(std::memory_order_seq_cst);
-        if (e < min_e) min_e = e;
-      }
-    }
-    return min_e;
-  }
-
-  // Reclamation scan: advance the epoch, then free every retired block whose
-  // retire stamp precedes all announced epochs.  The advance comes first and
-  // is seq_cst, so it follows every unpublishing store of the blocks on the
-  // list: a reader that announces the new epoch (or any later one) loads
-  // its pointers after those stores and cannot reach a retired block, and a
-  // reader holding a pointer into block B announced an epoch <= B's stamp r.
-  // So r < min_announced implies no reader can still hold B — the
-  // conservative epoch rule of interval-based reclamation.
+  // Reclamation scan: advance the epoch, then free every retired block that
+  // no reservation covers — one that, for every announced [lo, hi], retired
+  // before lo or was born after hi.  The advance comes first and is
+  // seq_cst, so it follows every unpublishing store of the blocks on the
+  // list; the reservation loads are seq_cst too, so each sees any widening
+  // that preceded a reader's pointer loads (the safety argument is in the
+  // file comment).  A reader may be between its lo and hi stores, so the
+  // pair may mix two of its intervals; every mix is wider than the newer
+  // one.  (A seq_cst fence + relaxed loads would do the same, but GCC's
+  // -Wtsan rejects fences under -fsanitize=thread.)  The sweep reads
+  // O(handles + held reservations x retired) list entries, allocates
+  // nothing, and recounts retired_capped_ (blocks only open ones hold).
   void ibr_scan() QC_REQUIRES(latch_) {
     ibr_epoch_.fetch_add(1, std::memory_order_seq_cst);
     ibr_scans_.fetch_add(1, std::memory_order_relaxed);
-    const std::uint64_t min_e = min_announced_epoch();
-    std::size_t kept = 0;
-    for (LevelBlock* b : retired_) {
-      if (b->retire_epoch < min_e) {
-        pool_or_free(b);
-      } else {
-        retired_[kept++] = b;
+    for (RetiredBlock& r : retired_) r.hold = 0;
+    for (IbrSlotChunk* c = ibr_chunks_.load(std::memory_order_acquire); c != nullptr;
+         c = c->next.load(std::memory_order_acquire)) {
+      for (const IbrSlot& slot : c->slots) {
+        const std::uint64_t lo = slot.lo.load(std::memory_order_seq_cst);
+        if (lo == kEpochInf) continue;  // holds nothing
+        const std::uint64_t hi = slot.hi.load(std::memory_order_seq_cst);
+        const std::uint8_t kind = hi == kEpochInf ? kHeldOpen : kHeldClosed;
+        for (RetiredBlock& r : retired_) {
+          if (r.retire >= lo && r.birth <= hi) r.hold |= kind;
+        }
       }
+    }
+    std::size_t kept = 0;
+    std::size_t capped = 0;
+    for (const RetiredBlock& r : retired_) {
+      if (r.hold == 0) {
+        pool_or_free(r.block);
+        continue;
+      }
+      capped += r.hold == kHeldOpen ? 1 : 0;
+      retired_[kept++] = r;
     }
     ibr_reclaimed_.fetch_add(retired_.size() - kept, std::memory_order_relaxed);
     // qc-lint-allow(no-alloc-under-latch): kept <= size(), so this resize
     // only shrinks — libstdc++ never reallocates on a downward resize.
     retired_.resize(kept);
+    retired_capped_ = capped;
     retire_list_len_.store(kept, std::memory_order_relaxed);
     // degraded_ is NOT cleared here: the flag marks a throttle episode, and
     // only enforce_retire_cap (its sole setter, below) knows when the
@@ -1555,7 +1541,9 @@ class Quancurrent {
   }
 
   // Bounded-memory response to stalled readers (Options::ibr_retire_cap):
-  // refuses to let the retire list exceed the cap.  Called from
+  // refuses to let the retired blocks refreshes in flight hold exceed the
+  // cap.  A held snapshot pins a fixed set, and waiting on it could wait on
+  // the ingesting thread's own idle handle forever.  Called from
   // prepare_cascade with the cascade's worst-case retirement count, under
   // the latch, BEFORE anything is published.  A forced scan is cheap; when
   // scanning cannot help — some reader really is parked mid-snapshot —
@@ -1567,14 +1555,14 @@ class Quancurrent {
   // every scan the cap forces, and the latch watchdog times the hold.
   void enforce_retire_cap(std::uint32_t upcoming) QC_REQUIRES(latch_) {
     const std::uint32_t cap = opts_.ibr_retire_cap;
-    if (cap == 0 || retired_.size() + upcoming <= cap) return;
+    if (cap == 0 || retired_capped_ + upcoming <= cap) return;
     ibr_forced_scans_.fetch_add(1, std::memory_order_relaxed);
     ibr_scan();
-    if (retired_.size() + upcoming <= cap) return;
+    if (retired_capped_ + upcoming <= cap) return;
     degraded_.store(true, std::memory_order_relaxed);
     ibr_throttle_waits_.fetch_add(1, std::memory_order_relaxed);
     Backoff backoff;
-    while (retired_.size() + upcoming > cap) {
+    while (retired_capped_ + upcoming > cap) {
       backoff.spin();
       ibr_forced_scans_.fetch_add(1, std::memory_order_relaxed);
       ibr_scan();
@@ -1670,7 +1658,7 @@ class Quancurrent {
     }
   }
 
-  // Claims a free announcement slot, growing the chunk list when none is
+  // Claims a free reservation slot, growing the chunk list when none is
   // free.  Lock-free; called once per Querier construction.
   IbrSlot* acquire_ibr_slot() {
     for (IbrSlotChunk* c = ibr_chunks_.load(std::memory_order_acquire);
@@ -1758,7 +1746,7 @@ class Quancurrent {
   // the final slot becomes the batch owner and runs Gather&Sort (a multiway
   // merge of the buffer's pre-sorted b-chunks straight into an install-queue
   // cell), reopens the ordinal, and hands the batch to the combining
-  // installer.  It announces no reclamation epoch: a flush touches level
+  // installer.  It holds no reservation: a flush touches level
   // blocks only as the install-latch holder, which is also the only thread
   // that frees them.
   void flush_chunk(std::uint32_t node_idx, const T* items, std::uint32_t count)
@@ -1870,21 +1858,21 @@ class Quancurrent {
   //
   // Caller must hold latch_.  The latch serializes drainers, and protects
   // exactly the pre-publication install state: the blocks being filled,
-  // scratch_, rng_ (the parity coins), epoch_counter_ / level_epoch_,
-  // install_head_, the tritmap_ CAS, and the install_seq_ advance — plus all
-  // block allocation, retirement, and reclamation (alloc_block /
-  // retire_block / ibr_scan are latch-holder-only; a group that retired
-  // blocks ends with one scan).  The reuse pool keeps the common case
-  // allocation-free; stats counters are relaxed atomics.
+  // scratch_, rng_ (the parity coins), install_head_, the tritmap_ CAS,
+  // and the install_seq_ advance — plus all block allocation, retirement,
+  // and reclamation (alloc_block / retire_block / ibr_scan are
+  // latch-holder-only; a group that retired blocks ends with one scan).
+  // The reuse pool keeps the common case allocation-free; stats counters
+  // are relaxed atomics.
   //
   // Seqlock phase: the first batch of a group starts from the published
   // tritmap, so (like the old single-batch installer) it only writes slots
   // the published tritmap marks empty — invisible to queriers.  A LATER
   // batch of the same group can refill a level an earlier batch consumed,
-  // rewriting a slot queriers may be copying; before the first such write
+  // rewriting a slot queriers may be loading; before the first such write
   // the group flips install_seq_ odd, and the final advance restores even
-  // parity, so any query copy window overlapping a dangerous write fails
-  // validation (see Querier::refresh_impl).
+  // parity, so any query snapshot window overlapping a dangerous write fails
+  // validation (see Querier::collect).
   void drain_group() QC_REQUIRES(latch_) {
     // Chaos builds: wedge the latch holder right here — producers park on the
     // ring, queriers keep answering from the published state, and the hold
@@ -1951,9 +1939,9 @@ class Quancurrent {
   }
 
   // Applies one install's full propagation cascade against the group-private
-  // tritmap `tm`, writing level slots and epochs; returns the evolved
-  // tritmap.  `entry_level` 0 is the ingest path: `items` is a sorted 2k
-  // weight-1 batch that lands as level 0's two arrays and compacts upward.
+  // tritmap `tm`, writing level slots; returns the evolved tritmap.
+  // `entry_level` 0 is the ingest path: `items` is a sorted 2k weight-1
+  // batch that lands as level 0's two arrays and compacts upward.
   // `entry_level` L > 0 is the merge path: `items` is one sorted k-run that
   // drops into a free slot at level L (weight 2^L), cascading onward only if
   // that fills the level — so a merge replays another sketch's ladder
@@ -1967,9 +1955,6 @@ class Quancurrent {
   Tritmap apply_cascade(Tritmap tm, Tritmap published, std::span<const T> items,
                         std::uint32_t entry_level, bool& seq_odd,
                         std::uint64_t& steps) QC_REQUIRES(latch_) {
-    // Every cascade gets a fresh epoch so that two writes of the same
-    // level within one group are distinguishable to querier run caches.
-    const std::uint64_t epoch = ++epoch_counter_;
     std::span<const T> source = items;
     std::uint32_t level = entry_level;
     if (entry_level == 0) {
@@ -1984,13 +1969,12 @@ class Quancurrent {
       // checked in every build (see common/check.hpp policy).
       QC_CHECK(dest_slot < 2, "cascade entry level has no free slot");
       LevelBlock* nb = take_block();
-      std::memcpy(nb->items.data(), items.data(), opts_.k * sizeof(T));
+      std::memcpy(nb->items(), items.data(), opts_.k * sizeof(T));
       if (!seq_odd && dest_slot < published.trit(entry_level)) {
         install_seq_.fetch_add(1, std::memory_order_relaxed);
         seq_odd = true;
       }
       publish_slot(entry_level, dest_slot, nb);
-      level_epoch_[entry_level].store(epoch, std::memory_order_release);
       tm = tm.with_trit(entry_level, dest_slot + 1);
       if (tm.trit(level) == 2) {
         std::merge(slot_ptr(level, 0), slot_ptr(level, 0) + opts_.k,
@@ -2010,22 +1994,18 @@ class Quancurrent {
       // so no per-item atomics are needed anywhere.
       LevelBlock* nb = take_block();
       const std::uint32_t parity = rng_.next_bool() ? 1 : 0;
-      T* dest = nb->items.data();
+      T* dest = nb->items();
       for (std::uint32_t i = 0; i < opts_.k; ++i) dest[i] = source[2 * i + parity];
       if (!seq_odd && dest_slot < published.trit(dest_level)) {
-        // About to republish a slot queriers may be copying: enter the
+        // About to republish a slot queriers may be loading: enter the
         // dangerous-write phase.  The flip itself can be relaxed — it is
         // sequenced before publish_slot's seq_cst pointer store, so any
-        // querier whose copy loaded the NEW pointer observes the flip at
+        // querier that loaded the NEW pointer observes the flip at
         // its re-check and retries (see Querier::collect_levels).
         install_seq_.fetch_add(1, std::memory_order_relaxed);
         seq_odd = true;
       }
       publish_slot(dest_level, dest_slot, nb);
-      // Release the level's new epoch only after its publication so that a
-      // querier reading this epoch (acquire) sees the new pointer; see
-      // Querier::collect_levels.
-      level_epoch_[dest_level].store(epoch, std::memory_order_release);
       tm = tm.after_install_propagation(level);
       level = dest_level;
       ++steps;
@@ -2050,16 +2030,13 @@ class Quancurrent {
       slot_blocks_{};
   std::atomic<Tritmap> tritmap_{Tritmap(0)};
 
-  // level_epoch_[l]: epoch_counter_ value of the last batch cascade that
-  // wrote level l's slots (not merely cleared them).  Queriers use it to
-  // reuse cached runs across refreshes; see Querier::collect_levels.
-  std::array<std::atomic<std::uint64_t>, kLevels> level_epoch_{};
-
   // ----- IBR state.  The vectors are latch-protected; the epoch (advanced
   // by every scan), chunk list, and stat counters are atomics. --------------
   std::atomic<std::uint64_t> ibr_epoch_{1};
   // unpublished, awaiting proof of safety
-  std::vector<LevelBlock*> retired_ QC_GUARDED_BY(latch_);
+  std::vector<RetiredBlock> retired_ QC_GUARDED_BY(latch_);
+  // retire-list entries the cap counts (see enforce_retire_cap)
+  std::size_t retired_capped_ QC_GUARDED_BY(latch_) = 0;
   // proven-safe reuse pool (bounded)
   std::vector<LevelBlock*> free_blocks_ QC_GUARDED_BY(latch_);
   std::atomic<IbrSlotChunk*> ibr_chunks_{nullptr};
@@ -2105,7 +2082,6 @@ class Quancurrent {
   mutable sync::LatchFlag latch_;
   std::vector<T> scratch_ QC_GUARDED_BY(latch_);
   Xoshiro256 rng_ QC_GUARDED_BY(latch_){0};
-  std::uint64_t epoch_counter_ QC_GUARDED_BY(latch_) = 0;  // per-batch-cascade
 
   // Monotonic publish clock: advances by a net 2 per published group, and is
   // ODD exactly while a combined group is rewriting published-occupied slots

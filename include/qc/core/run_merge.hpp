@@ -20,9 +20,9 @@
 // on each new snapshot answers from the runs, the second builds the summary.
 //
 // Ties between runs break by run index, so for a fixed run order the merge
-// output is fully deterministic — which is what lets an incremental refresh
-// (cached runs) and a full refresh (fresh copies) produce bit-identical
-// summaries.
+// output is fully deterministic — which is what lets refresh(),
+// refresh_full() and a fresh querier of the same snapshot produce
+// bit-identical summaries.
 #pragma once
 
 #include <algorithm>
@@ -137,6 +137,32 @@ const T* partition_point_branchless(const T* first, const T* last, Pred pred) {
   return first + (pred(*first) ? 1 : 0);
 }
 
+// partition_point_branchless over every run's window [at[r], end[r]) at
+// once, leaving each result in at[r].  The searches advance in lockstep,
+// one probe per run per step, so the runs' cache misses overlap instead of
+// queueing: a live snapshot's runs are level blocks another core just
+// wrote.  `len` is scratch with room for runs.size() entries.
+template <typename T, typename Pred>
+void partition_points(std::span<const RunRef<T>> runs, std::size_t* at,
+                      const std::size_t* end, std::size_t* len, Pred pred) {
+  std::size_t longest = 0;
+  for (std::size_t r = 0; r < runs.size(); ++r) {
+    len[r] = end[r] - at[r];
+    longest = std::max(longest, len[r]);
+  }
+  for (; longest > 1; longest -= longest / 2) {
+    for (std::size_t r = 0; r < runs.size(); ++r) {
+      if (len[r] < 2) continue;  // done, or an empty window: nothing to probe
+      const std::size_t half = len[r] / 2;
+      at[r] = pred(runs[r].data[at[r] + half]) ? at[r] + half : at[r];
+      len[r] -= half;
+    }
+  }
+  for (std::size_t r = 0; r < runs.size(); ++r) {
+    if (len[r] != 0 && pred(runs[r].data[at[r]])) ++at[r];
+  }
+}
+
 // Total weight of items strictly less than `v`: the KLL weighted-compactor
 // rank (Karnin, Lang & Liberty), one binary search per run.
 template <typename T, typename Compare = std::less<T>>
@@ -185,6 +211,7 @@ class RunSelector {
     lo_.assign(n, 0);
     hi_.resize(n);
     cut_.resize(n);
+    len_.resize(n);
     for (std::size_t r = 0; r < n; ++r) hi_[r] = runs[r].size;
     const T* best = nullptr;
     std::size_t prev_left = 2 * items;
@@ -224,26 +251,20 @@ class RunSelector {
         }
       }
       const auto not_above = [&](const T& x) { return !cmp(*pivot, x); };
+      cut_ = lo_;
+      partition_points(runs, cut_.data(), hi_.data(), len_.data(), not_above);
       std::uint64_t at_most = 0;  // weight of items <= *pivot
-      for (std::size_t r = 0; r < n; ++r) {
-        const T* d = runs[r].data;
-        cut_[r] = static_cast<std::size_t>(
-            partition_point_branchless(d + lo_[r], d + hi_[r], not_above) - d);
-        at_most += runs[r].weight * cut_[r];
-      }
+      for (std::size_t r = 0; r < n; ++r) at_most += runs[r].weight * cut_[r];
       if (reaches(at_most)) {
         best = pivot;
+        const auto below = [&](const T& x) { return cmp(x, *pivot); };
         for (std::size_t r = 0; r < n; ++r) {
           // Items equal to the pivot end at cut_[r]; only search for where
-          // they start if there is one.
-          const T* d = runs[r].data;
+          // they start if there is one (an empty window leaves hi_ at cut_).
           const std::size_t c = cut_[r];
-          const auto below = [&](const T& x) { return cmp(x, *pivot); };
-          hi_[r] = c > lo_[r] && !below(d[c - 1])
-                       ? static_cast<std::size_t>(
-                             partition_point_branchless(d + lo_[r], d + c, below) - d)
-                       : c;
+          hi_[r] = c > lo_[r] && !below(runs[r].data[c - 1]) ? lo_[r] : c;
         }
+        partition_points(runs, hi_.data(), cut_.data(), len_.data(), below);
         best_lb_ = hi_;  // per run, the first item not less than *best
       } else {
         lo_.swap(cut_);
@@ -271,7 +292,7 @@ class RunSelector {
     std::size_t window;  // the window's size, its weight in the median
   };
   std::vector<Pick> picks_;
-  std::vector<std::size_t> lo_, hi_, cut_, best_lb_;
+  std::vector<std::size_t> lo_, hi_, cut_, len_, best_lb_;
 };
 
 // Reusable L-way merge.  Holds its cursor and tree storage across calls so a

@@ -155,9 +155,9 @@ class ShardedQuancurrent {
   // ----- queries -----------------------------------------------------------
 
   // Cross-shard point-in-time view: one wait-free querier per shard, whose
-  // runs make up the snapshot.  refresh() is incremental twice over — each
-  // shard querier reuses its cached runs, and the run list is left alone
-  // unless some shard's snapshot moved.  The merge breaks ties by run index,
+  // runs make up the snapshot.  refresh() is incremental twice over — a
+  // shard querier whose shard did not change refreshes in O(1), and the run
+  // list is left alone unless some shard's snapshot moved.  The merge breaks ties by run index,
   // so the summary equals a merge of the shards' summaries in shard order.
   // No lock anywhere on this path.
   class Querier {
@@ -175,10 +175,11 @@ class ShardedQuancurrent {
     }
 
     // A shard refresh that throws leaves that shard on its previous
-    // snapshot, but the shards refreshed before it have moved on, and their
-    // next refresh may overwrite the copies the old run list points into.
-    // So the run list is re-collected from every shard's live snapshot
-    // before the exception propagates.
+    // snapshot, but the shards refreshed before it have moved on: they no
+    // longer reserve the level blocks the old run list points into, and
+    // their next refresh may overwrite its tail copies.  So the run list is
+    // re-collected from every shard's live snapshot before the exception
+    // propagates.
     void refresh() {
       bool changed = false;
       try {
@@ -204,7 +205,8 @@ class ShardedQuancurrent {
       return h;
     }
 
-    // Shard s's querier, whose live snapshot this view's runs point into.
+    // Shard s's querier, whose live snapshot this view's runs point into:
+    // the level blocks its reservation keeps readable, and its tail copy.
     const typename Shard::Querier& shard_querier(std::size_t s) const { return inners_[s]; }
 
     std::span<const RunRef<T>> runs() const { return snap_.runs(); }

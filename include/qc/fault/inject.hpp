@@ -27,7 +27,7 @@
 // Stalls.  Stall points call a pluggable handler (default: sleep).  Tests
 // install their own handler to park a thread on a flag — that is how the
 // "stalled querier keeps retired memory bounded" chaos test wedges a reader
-// at a precise point with a pin held.
+// at a precise point with its reservation open.
 #pragma once
 
 #include <cstddef>
@@ -40,15 +40,15 @@ enum class Point : std::uint8_t {
   level_block_alloc = 0,  // alloc_block(): a LevelBlock `new` on the cascade
                           // or deserialize path fails
   tail_alloc,             // push_tail(): the tail vector's growth fails
-  querier_copy_alloc,     // Querier::collect_levels()/copy_tail(): a snapshot
-                          // copy buffer's growth fails
+  querier_copy_alloc,     // Querier::copy_tail(): the sorted tail copy's
+                          // growth fails (levels are read in place)
   merge_alloc,            // merge_into(): the source-snapshot reserve fails
   deserialize_alloc,      // deserialize(): a payload allocation fails
   install_queue_full,     // acquire_cell(): delay a producer as if the ring
                           // were full (backpressure path)
   latch_stall,            // drain_group(): wedge the install-latch holder
   querier_stall,          // Querier::refresh(): park a reader mid-snapshot,
-                          // epoch pin held
+                          // pointers loaded and its reservation open
   gather_stall,           // flush_chunk(): preempt a writer between its
                           // reservation and its commit
   serde_corrupt,          // serde::Writer::put_bytes(): flip one bit in an

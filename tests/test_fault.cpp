@@ -378,8 +378,8 @@ QC_TEST(failed_query_refresh_keeps_the_previous_snapshot) {
   const auto before = copy_runs();
   const std::uint64_t size = q.size();
   const double median = q.quantile(0.5);
-  // New items change several levels and the tail, so the next refresh
-  // re-copies several parts of the snapshot.
+  // New items change several levels and the tail.  The levels are read in
+  // place, so the refresh's only allocation is its sorted tail copy.
   for (int i = 0; i < 3'000; ++i) sk.update(1e6 + i);
   sk.quiesce();
   // Fail the refresh's 1st, 2nd, ... copy allocation until one completes:
@@ -394,17 +394,30 @@ QC_TEST(failed_query_refresh_keeps_the_previous_snapshot) {
       CHECK(copy_runs() == before);
       CHECK_EQ(q.size(), size);
       CHECK(q.quantile(0.5) == median);
+      if (failures == 1) {
+        // The failed refresh fell back to the reservation of the kept
+        // snapshot, whose runs point into level blocks the sketch has since
+        // retired.  Churn the ladder and reclaim: those blocks must not be
+        // freed or reused while the snapshot can still read them.
+        for (int i = 0; i < 3'000; ++i) sk.update(2e6 + i);
+        sk.quiesce();
+        CHECK(copy_runs() == before);
+        CHECK_EQ(q.size(), size);
+      }
       continue;
     }
     break;
   }
-  CHECK(failures >= 2u);
-  CHECK_EQ(q.size(), std::uint64_t{8'000});
+  CHECK(failures >= 1u);
+  CHECK_EQ(q.size(), std::uint64_t{11'000});
 
-  // The sharded querier's runs point into its shard queriers' live copies.
-  // A failure part way through its refresh leaves the shards before the
-  // failing one on new snapshots, so its view must follow them — and their
-  // next refresh rewrites (and may reallocate) the copies it used to read.
+  // The sharded querier's runs point into its shard queriers' live
+  // snapshots: level blocks their reservations keep readable, and their
+  // tail copies.  A failure part way through its refresh leaves the shards
+  // before the failing one on new snapshots, so its view must follow them:
+  // those shards have released their old blocks to reclamation, and their
+  // next refresh rewrites (and may reallocate) the tail copies it used to
+  // read.
   inj.reset();  // the last one-shot above never fired
   qc::ShardedQuancurrent<double> sharded(3, small_options(64, 8));
   const auto feed = [&sharded](double base, int count) {
@@ -470,7 +483,7 @@ QC_TEST(stalled_querier_keeps_retired_memory_under_cap) {
   auto& inj = Injector::instance();
   ParkedReader pr;
   inj.set_stall_handler(&park_handler, &pr);
-  inj.arm_hit(Point::querier_stall, 1);  // the first refresh parks, pin held
+  inj.arm_hit(Point::querier_stall, 1);  // the first refresh parks mid-snapshot
 
   qc::Options o = small_options(64, 16);
   o.ibr_retire_cap = 64;  // the minimum: degrade as early as possible
@@ -479,7 +492,7 @@ QC_TEST(stalled_querier_keeps_retired_memory_under_cap) {
 
   std::thread reader([&] {
     // Constructing the querier refreshes once: the armed stall parks this
-    // thread INSIDE refresh with its reclamation pin announced — the
+    // thread INSIDE refresh with its reservation open (hi unbounded) — the
     // stalled-reader scenario the retire cap exists for.
     auto q = sk.make_querier();
     CHECK(pr.release.load(std::memory_order_acquire));
@@ -504,7 +517,7 @@ QC_TEST(stalled_querier_keeps_retired_memory_under_cap) {
     CHECK(s.retire_list_len <= cap);
     CHECK(s.forced_scans >= 1);
     CHECK(s.throttle_waits >= 1);
-    CHECK(s.pinned_epoch_age >= 1);  // names the cause: a lagging pin
+    CHECK(s.pinned_epoch_age >= 1);  // names the cause: a refresh in flight
   }
 
   // Release the reader: reclamation resumes, the throttle lifts, ingest
@@ -519,6 +532,76 @@ QC_TEST(stalled_querier_keeps_retired_memory_under_cap) {
   CHECK(!s.degraded);
   CHECK(s.retire_list_len <= cap);
   CHECK_EQ(s.live_blocks(), published_runs(sk));
+}
+
+// ----- the hole path ----------------------------------------------------------
+
+namespace {
+// Publishes one install group from inside the querier's retry loop, between
+// its pointer loads and its install_seq_ re-check, so the attempt cannot
+// validate.
+struct RacingInstaller {
+  qc::Quancurrent<double>* sketch = nullptr;
+  qc::Quancurrent<double>::Updater* updater = nullptr;
+  std::uint32_t hits = 0;
+  double next = 0.0;
+};
+
+void install_one_group(Point p, void* ctx) {
+  if (p != Point::querier_stall) return;
+  auto* ri = static_cast<RacingInstaller*>(ctx);
+  ++ri->hits;
+  // Exactly one 2k batch: the last flush makes this thread the gather owner,
+  // which drains its own batch as one group before returning.
+  const std::uint32_t batch = 2 * ri->sketch->options().k;
+  for (std::uint32_t i = 0; i < batch; ++i) ri->updater->update(ri->next++);
+  ri->updater->drain();
+}
+}  // namespace
+
+QC_TEST(refresh_racing_an_install_on_every_attempt_accepts_holes) {
+  InjectorScope scope;
+  auto& inj = Injector::instance();
+  qc::Options o = small_options(64, 8);
+  o.collect_stats = true;  // counts holes and retries in stats()
+  qc::Quancurrent<double> sk(o);
+  auto u = sk.make_updater(0);
+  RacingInstaller ri{&sk, &u, 0, 0.0};
+  for (int i = 0; i < 20'000; ++i) u.update(ri.next++);
+  sk.quiesce();  // the gather buffer now starts at a batch boundary
+  auto q = sk.make_querier();
+  const qc::core::Stats before = sk.stats();
+
+  // One install before the refresh, so it cannot take its O(1) path; then one
+  // from every attempt's stall, so none of the 8 attempts validates.
+  install_one_group(Point::querier_stall, &ri);
+  inj.set_stall_handler(&install_one_group, &ri);
+  inj.set_probability(Point::querier_stall, 1.0);
+  q.refresh();
+  inj.reset();
+
+  CHECK_EQ(ri.hits, 9u);
+  CHECK(q.holes() >= 1u);
+  CHECK(sk.stats().holes - before.holes >= 1u);
+  CHECK_EQ(sk.stats().query_retries - before.query_retries, 7u);
+  // Every run is one whole immutable block or the sorted tail, and the
+  // snapshot's size is exactly what its runs weigh.
+  std::uint64_t weight = 0;
+  for (const auto& r : q.runs()) {
+    CHECK(std::is_sorted(r.data, r.data + r.size));
+    weight += r.weight * r.size;
+  }
+  CHECK_EQ(q.size(), weight);
+  CHECK(q.quantile(0.0) <= q.quantile(1.0));
+
+  // A hole snapshot is never reused: the next refresh collects anew, and
+  // with nothing racing it validates.
+  q.refresh();
+  CHECK_EQ(q.holes(), 0u);
+  sk.quiesce();
+  q.refresh();
+  CHECK_EQ(q.size(), sk.size());
+  CHECK_EQ(q.size(), static_cast<std::uint64_t>(ri.next));
 }
 
 // ----- latch + queue observability -------------------------------------------

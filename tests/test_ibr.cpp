@@ -5,6 +5,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstring>
+#include <deque>
 #include <thread>
 #include <vector>
 
@@ -117,8 +118,8 @@ QC_TEST(ibr_stats_are_monotone_and_consistent) {
 QC_TEST(quiesce_reclaims_every_unreferenced_block) {
   // After quiesce() with no readers, exactly the tritmap-referenced runs may
   // remain live: consumed-but-published stale blocks are trimmed, the retire
-  // list is drained (idle handles announce no epoch), and the reuse pool is
-  // flushed back to the allocator.
+  // list is drained (no Querier exists, so no reservation holds a block),
+  // and the reuse pool is flushed back to the allocator.
   qc::Quancurrent<double> sk(small_options(64, 8));
   const auto data = qc::stream::make_stream(Distribution::kUniform, 60'000, 11);
   qc::bench::ingest_quancurrent(sk, data, 4, /*quiesce=*/true);
@@ -164,6 +165,97 @@ QC_TEST(tight_retire_cap_never_throttles_without_queriers) {
   CHECK(s.retired > 0);
   CHECK_EQ(s.throttle_waits, std::uint64_t{0});
   CHECK(!s.degraded);
+}
+
+QC_TEST(idle_querier_pins_only_its_snapshot) {
+  // A querier's snapshot points into level blocks, reserved from one
+  // accepted refresh to the next.  Its reservation is an epoch interval, so
+  // an idle querier holds only the blocks live at its snapshot: the blocks
+  // the stream publishes and retires afterwards are all reclaimed, the
+  // tightest cap never throttles, and the idle snapshot's runs stay
+  // bit-identical (a freed and reused block would change them).
+  qc::Options o = small_options(64, 8);
+  o.ibr_retire_cap = qc::Options::kMinRetireCap;
+  qc::Quancurrent<double> sk(o);
+  const auto prefill = qc::stream::make_stream(Distribution::kUniform, 20'000, 3);
+  qc::bench::ingest_quancurrent(sk, prefill, 1, /*quiesce=*/true);
+  auto q = sk.make_querier();
+  std::vector<std::vector<double>> before;
+  for (const auto& r : q.runs()) before.emplace_back(r.data, r.data + r.size);
+  CHECK(before.size() > 1);
+  const double median = q.quantile(0.5);
+
+  const auto data = qc::stream::make_stream(Distribution::kNormal, 200'000, 4);
+  qc::bench::ingest_quancurrent(sk, data, 4, /*quiesce=*/true);
+  CHECK_EQ(sk.size(), std::uint64_t{220'000});
+  const qc::IbrStats s = sk.ibr_stats();
+  CHECK(s.retired > before.size());
+  CHECK_EQ(s.throttle_waits, std::uint64_t{0});
+  CHECK(!s.degraded);
+  CHECK_EQ(s.pinned_epoch_age, std::uint64_t{0});  // idle, not in flight
+  CHECK(s.retire_list_len < qc::Options::kMinRetireCap);
+
+  std::vector<std::vector<double>> after;
+  for (const auto& r : q.runs()) after.emplace_back(r.data, r.data + r.size);
+  CHECK(after == before);
+  CHECK(q.quantile(0.5) == median);
+  q.refresh();
+  CHECK_EQ(q.size(), std::uint64_t{220'000});
+}
+
+QC_TEST(convenience_query_then_long_ingest_never_throttles) {
+  // quantile() creates the convenience querier, which then holds its
+  // snapshot for the rest of this test while update() streams on the same
+  // thread.  A reservation that pinned every later block (a held epoch)
+  // would fill the retire list and throttle forever, waiting on this very
+  // thread; the interval releases everything born after the snapshot.
+  qc::Options o = small_options(64, 8);
+  o.ibr_retire_cap = qc::Options::kMinRetireCap;
+  qc::Quancurrent<double> sk(o);
+  for (int i = 0; i < 10'000; ++i) sk.update(static_cast<double>(i));
+  const double mid = sk.quantile(0.5);
+  CHECK(mid > 0.0);
+  for (int i = 0; i < 1'000'000; ++i) sk.update(static_cast<double>(i % 4'099));
+  const qc::IbrStats s = sk.ibr_stats();
+  CHECK(s.retired > qc::Options::kMinRetireCap);
+  CHECK_EQ(s.throttle_waits, std::uint64_t{0});
+  CHECK(!s.degraded);
+  CHECK_EQ(sk.rank(1e300), std::uint64_t{1'010'000});
+}
+
+QC_TEST(idle_queriers_at_different_stream_points_never_throttle) {
+  // Several idle handles, each holding a snapshot from a different stream
+  // point, together keep more retired blocks than the tightest cap leaves
+  // room for beside a drain group's burst.  Those blocks are a fixed set
+  // per handle, so they must not count against the cap: if they did, this
+  // thread's own update() would throttle forever, waiting on its handles.
+  qc::Options o = small_options(64, 8);
+  o.ibr_retire_cap = qc::Options::kMinRetireCap;
+  qc::Quancurrent<double> sk(o);
+  std::deque<qc::Quancurrent<double>::Querier> queriers;  // never moved
+  std::vector<std::vector<std::vector<double>>> held;
+  std::uint64_t n = 0;
+  for (int h = 0; h < 4; ++h) {
+    // Doubling gaps: each snapshot differs from the last in higher levels.
+    for (int i = 0; i < (10'000 << h); ++i) sk.update(static_cast<double>(n++ % 7'919));
+    queriers.emplace_back(sk);
+    held.emplace_back();
+    for (const auto& r : queriers.back().runs()) held.back().emplace_back(r.data, r.data + r.size);
+  }
+  for (int i = 0; i < 1'000'000; ++i) sk.update(static_cast<double>(n++ % 4'099));
+  const qc::IbrStats s = sk.ibr_stats();
+  CHECK_EQ(s.throttle_waits, std::uint64_t{0});
+  CHECK(!s.degraded);
+  CHECK_EQ(s.pinned_epoch_age, std::uint64_t{0});
+  // The idle snapshots hold more retired blocks than the whole cap.
+  CHECK(s.retire_list_len > qc::Options::kMinRetireCap);
+  for (std::size_t h = 0; h < queriers.size(); ++h) {
+    std::vector<std::vector<double>> now;
+    for (const auto& r : queriers[h].runs()) now.emplace_back(r.data, r.data + r.size);
+    CHECK(now == held[h]);
+  }
+  sk.quiesce();
+  CHECK_EQ(sk.size(), n);
 }
 
 QC_TEST(serialize_propagation_is_bit_equivalent) {

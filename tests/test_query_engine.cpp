@@ -305,14 +305,20 @@ QC_TEST(concurrent_direct_answers_match_the_summary) {
   for (std::size_t i = 0; i < data.size(); i += 3) data[i] = std::floor(data[i] * 16.0);
   qc::core::Quancurrent<double> sk(small_options(k, 8));
   std::atomic<bool> stop{false};
+  std::atomic<int> ready{0};
   std::atomic<std::uint64_t> direct_checks{0};
   std::vector<std::thread> readers;
   for (int r = 0; r < 2; ++r) {
     readers.emplace_back([&, r] {
-      auto q = sk.make_querier();
+      auto q = sk.make_querier();  // before the ingest starts (see below)
+      ready.fetch_add(1, std::memory_order_release);
       qc::Xoshiro256 rng(61 + static_cast<std::uint64_t>(r));
       std::uint64_t round = 0;
-      while (!stop.load(std::memory_order_acquire)) {
+      // The pass that first sees `stop` still runs: its refresh follows the
+      // whole ingest, so each reader checks at least one new snapshot even
+      // when the scheduler kept it off the CPU for the entire ingest.
+      for (bool last = false; !last;) {
+        last = stop.load(std::memory_order_acquire);
         const std::uint64_t version = q.version();
         q.refresh();
         if (q.version() == version) continue;  // same snapshot: no direct query left
@@ -336,10 +342,11 @@ QC_TEST(concurrent_direct_answers_match_the_summary) {
       }
     });
   }
+  while (ready.load(std::memory_order_acquire) < 2) std::this_thread::yield();
   qc::bench::ingest_quancurrent(sk, data, 2);
   stop.store(true, std::memory_order_release);
   for (auto& th : readers) th.join();
-  CHECK(direct_checks.load(std::memory_order_relaxed) > 0u);
+  CHECK(direct_checks.load(std::memory_order_relaxed) >= 2u);
 }
 
 QC_TEST(quiesced_querier_builds_its_summary_once) {
@@ -451,8 +458,8 @@ QC_TEST(quantile_and_rank_match_oracle_after_quiesce) {
 }
 
 QC_TEST(incremental_and_full_refresh_return_identical_summaries) {
-  // Acceptance (c): a querier whose cache evolved across many refreshes must
-  // produce bit-identical summaries to a full re-copy and to a fresh
+  // Acceptance (c): a querier that refreshed across many ladder changes must
+  // produce bit-identical summaries to refresh_full() and to a fresh
   // querier, at every quiesced point.
   const std::uint32_t k = 64;
   qc::core::Quancurrent<double> sk(small_options(k, 8));
@@ -469,13 +476,13 @@ QC_TEST(incremental_and_full_refresh_return_identical_summaries) {
       fed += chunk;
     }
     sk.quiesce();
-    incremental.refresh();  // reuses cached runs for unchanged levels
+    incremental.refresh();  // one handle, refreshed across every round
     CHECK_EQ(incremental.holes(), 0u);
 
-    auto full = sk.make_querier();  // fresh cache: every run copied anew
+    auto full = sk.make_querier();  // a fresh handle, no earlier snapshot
     CHECK(incremental.summary() == full.summary());
 
-    full.refresh_full();  // and the explicit cache-bypass path
+    full.refresh_full();  // and the explicit reload-everything path
     CHECK(incremental.summary() == full.summary());
 
     CHECK_EQ(incremental.size(), fed);
